@@ -9,17 +9,22 @@ Python ``hash()``), so it is identical across processes, platforms and
 The key has two parts:
 
 * the **structural key** — a sha256 over the *shapes* of the problem: the
-  rewritten logical graph's topology (ops and source layouts, not names or
-  sizes), the unrewritten graph's topology when the rewrite pipeline
-  changed it (the never-worse fallback can return a plan for the original
-  graph, so it is part of the answer), the :class:`ClusterConfig`, the
-  catalog/cost-model version signature, and the search knobs;
-* the **parameter slots** — per-vertex names, dimensions, sparsities,
-  estimated ``nnz`` and scalar op parameters.
+  submitted logical graph's topology (ops and source layouts, not names
+  or sizes), the :class:`ClusterConfig`, the catalog/cost-model version
+  signature, and the search knobs, including the rewrite engine and its
+  rule-set version;
+* the **parameter slots** — per-vertex dimensions, sparsities, estimated
+  ``nnz`` and scalar op parameters, plus the names the executor binds:
+  source names (inputs are fed by name) and output names (results are
+  returned by name).  Intermediate op-vertex names are labels, not
+  semantics, and stay out of the key.
 
-Structurally identical requests share one cache entry; the parameter tuple
-selects the concrete plan inside it.  That split is what later multi-query
-work (cross-tenant CSE, parametric plan reuse) keys on.
+The planner service keys on the graph as submitted, before any rewrite
+runs: the rewrite stage is a function of exactly that graph, the context
+and the knobs (the e-graph's wall-clock deadline aside), so a repeat
+request is a lookup and the rewrite runs only on a miss.  Structurally
+identical requests share one cache entry; the parameter tuple selects the
+concrete plan inside it.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class Fingerprint:
 
     #: sha256 hex digest over the structural payload.
     structural: str
-    #: Parameter slots: names, dims, sparsity, nnz, scalar params — JSON
+    #: Parameter slots: bound names, dims, sparsity, nnz, scalar params — JSON
     #: encoded so the tuple is hashable and trivially serializable.
     params: str
 
@@ -92,11 +97,17 @@ def graph_signature(graph: ComputeGraph) -> tuple[list, list]:
     and input wiring, plus declared outputs.  Vertex ids are construction
     ordered, so the payload is deterministic without any hashing.
     Parameters are the per-vertex slots a structurally identical graph may
-    vary in: names, dimensions, sparsity, estimated non-zeros, and scalar
-    op parameters.  Names are parameters (not structure) because the
-    executor binds inputs and outputs by name — two graphs differing only
-    in names share a structural key but not a plan.
+    vary in: dimensions, sparsity, estimated non-zeros, scalar op
+    parameters, and the names the executor binds — every source name and
+    every output name.  Two graphs differing in those names share a
+    structural key but not a plan.  An intermediate op vertex's name is
+    only a label (unnamed expressions draw theirs from a process-wide
+    counter), so its slot holds ``None``: graphs differing only in labels
+    compute the same values and share a plan, as in
+    :func:`subplan_fingerprint`.
     """
+    outputs = [v.vid for v in graph.outputs]
+    bound = set(outputs)
     structure: list = []
     params: list = []
     for v in graph.vertices:
@@ -109,8 +120,8 @@ def graph_signature(graph: ComputeGraph) -> tuple[list, list]:
                            nnz])
         else:
             structure.append(["op", v.op.name, list(v.inputs)])
-            params.append([v.name, v.param])
-    structure.append(["out", [v.vid for v in graph.outputs]])
+            params.append([v.name if v.vid in bound else None, v.param])
+    structure.append(["out", outputs])
     return structure, params
 
 
@@ -169,11 +180,11 @@ def request_fingerprint(graph: ComputeGraph, rewritten: ComputeGraph,
                         frontier: str = "array") -> Fingerprint:
     """Fingerprint one planning request.
 
-    ``rewritten`` is the output of
-    :func:`repro.core.optimizer.rewrite_stage` on ``graph`` (pass ``graph``
-    twice when no rewrites ran).  The unrewritten graph participates in the
-    key exactly when the pipeline changed its structure, because the
-    never-worse fallback may answer with a plan for it.
+    The planner service passes the submitted ``graph`` twice, so a repeat
+    request is keyed before any rewrite runs.  ``rewritten`` may instead
+    be the output of :func:`repro.core.optimizer.rewrite_stage` on
+    ``graph``; the unrewritten graph then participates in the key exactly
+    when the rewrite changed its structure.
     """
     structure, params = graph_signature(rewritten)
     base_structure, base_params = graph_signature(graph)

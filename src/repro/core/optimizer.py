@@ -60,10 +60,6 @@ def context_for_graph(graph: ComputeGraph, ctx: OptimizerContext
     return dataclasses.replace(ctx, formats=tuple(seen))
 
 
-#: Backwards-compatible alias for the pre-service private name.
-_context_for = context_for_graph
-
-
 def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
              algorithm: str = "auto",
              timeout_seconds: float | None = None,
@@ -141,8 +137,7 @@ def rewrite_stage(graph: ComputeGraph, ctx: OptimizerContext,
     pipeline; ``"egraph"`` saturates an e-graph under the default budget
     and extracts the catalog-cheapest term; ``"off"``/``"none"`` returns
     ``(graph, None)``.  Exposed separately from :func:`optimize` so the
-    planner service can fingerprint the rewritten graph before deciding
-    whether a physical search is needed.
+    planner service can run it only on a cache miss.
     """
     engine, spec = resolve_engine(rewrites)
     if engine == "egraph":

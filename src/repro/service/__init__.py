@@ -10,10 +10,9 @@ from ..core.fingerprint import (CATALOG_VERSION, Fingerprint,
                                 batch_fingerprint, request_fingerprint)
 from .cache import PlanCache
 from .planner import PlannerService
-from .singleflight import AdmissionBatcher, SingleFlight
+from .singleflight import SingleFlight
 
 __all__ = [
-    "AdmissionBatcher",
     "CATALOG_VERSION",
     "Fingerprint",
     "PlanCache",

@@ -10,10 +10,11 @@ the three questions clients ask the optimizer:
 * :meth:`~PlannerService.whatif` — how would it change on another cluster.
 
 Every request is fingerprinted canonically (:mod:`repro.core.fingerprint`)
-after the logical rewrite stage, so repeated and structurally identical
-requests are served from the cache instead of re-running the physical
-search.  Concurrent identical cold requests collapse into a single
-optimization via single-flight.  Cache hits return a plan whose
+as submitted, before the logical rewrite stage, so repeated and
+structurally identical requests are served from the cache without
+re-running either the rewrite or the physical search.  Concurrent
+identical cold requests collapse into a single optimization via
+single-flight.  Cache hits return a plan whose
 :class:`~repro.core.profile.OptimizerProfile` is marked ``cache_hit=True``;
 hit/miss/eviction counters flow into the service's
 :class:`~repro.obs.metrics.MetricsRegistry` under ``planner.*``.
@@ -32,8 +33,7 @@ import time
 from ..core.annotation import Plan
 from ..core.batch import BatchPlan
 from ..core.batch import optimize_batch as _optimize_batch
-from ..core.fingerprint import (Fingerprint, batch_fingerprint,
-                                request_fingerprint)
+from ..core.fingerprint import batch_fingerprint, request_fingerprint
 from ..core.graph import ComputeGraph
 from ..core.frontier import FRONTIERS
 from ..core.optimizer import (ALGORITHMS, context_for_graph, physical_plan,
@@ -94,11 +94,12 @@ class PlannerService:
         """Plan ``graph``, serving from the cache when possible.
 
         Accepts the same knobs as :func:`repro.core.optimizer.optimize`
-        (all part of the fingerprint).  The rewrite stage always runs —
-        it is cheap, deterministic, and its output is what the cache is
-        keyed on; only the physical search is skipped on a hit.  Cache
-        hits return the cached plan with its profile marked
-        ``cache_hit=True``.
+        (all part of the fingerprint).  The key is taken from the
+        submitted graph, so a hit runs neither the rewrite stage nor the
+        physical search: it returns the cached plan, intermediate labels
+        and all, with its profile marked ``cache_hit=True``.  A miss runs
+        both stages once, inside the single-flight gate, and the
+        ``optimize_seconds`` stored for eviction covers both.
         """
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; "
@@ -110,10 +111,8 @@ class PlannerService:
         with self.tracer.span("optimize", kind="optimize",
                               algorithm=algorithm,
                               vertices=len(graph)) as span:
-            rewritten, report = rewrite_stage(graph, ctx, rewrites,
-                                              self.tracer)
             fp = request_fingerprint(
-                graph, rewritten, ctx, algorithm=algorithm,
+                graph, graph, ctx, algorithm=algorithm,
                 timeout_seconds=timeout_seconds, max_states=max_states,
                 rewrites=rewrites, prune=prune, order=order,
                 frontier=frontier)
@@ -134,6 +133,8 @@ class PlannerService:
                 if again is not None:
                     return again, False
                 started = time.perf_counter()
+                rewritten, report = rewrite_stage(graph, ctx, rewrites,
+                                                  self.tracer)
                 plan = physical_plan(graph, rewritten, report, ctx,
                                      algorithm=algorithm,
                                      timeout_seconds=timeout_seconds,
@@ -170,9 +171,11 @@ class PlannerService:
         serving repeated batches from the cache.
 
         The batch is fingerprinted as the ordered composition of its
-        members' request fingerprints (:func:`batch_fingerprint` — a
-        distinct key domain, so a batch never collides with a solo
-        request for the same graph).  A cache hit returns the cached
+        submitted members' request fingerprints (:func:`batch_fingerprint`
+        — a distinct key domain, so a batch never collides with a solo
+        request for the same graph).  No rewrite runs before the lookup;
+        on a miss :func:`~repro.core.batch.optimize_batch` rewrites each
+        member once.  A cache hit returns the cached
         :class:`~repro.core.batch.BatchPlan` with every profile marked
         ``cache_hit=True``; concurrent identical cold batches collapse
         into one merged search via single-flight.  Counters flow under
@@ -191,17 +194,13 @@ class PlannerService:
         base_ctx = ctx if ctx is not None else self.ctx
         with self.tracer.span("optimize-batch", kind="optimize",
                               queries=len(graphs)) as span:
-            member_fps = []
-            for graph in graphs:
-                qctx = self.resolve_context(graph, ctx)
-                rewritten, _ = rewrite_stage(graph, qctx, rewrites,
-                                             self.tracer)
-                member_fps.append(request_fingerprint(
-                    graph, rewritten, qctx, algorithm=algorithm,
-                    timeout_seconds=timeout_seconds, max_states=max_states,
-                    rewrites=rewrites, prune=prune, order=order,
-                    frontier=frontier))
-            fp = batch_fingerprint(member_fps)
+            fp = batch_fingerprint(
+                request_fingerprint(
+                    graph, graph, self.resolve_context(graph, ctx),
+                    algorithm=algorithm, timeout_seconds=timeout_seconds,
+                    max_states=max_states, rewrites=rewrites, prune=prune,
+                    order=order, frontier=frontier)
+                for graph in graphs)
             span.set(fingerprint=fp.short())
             self._count("planner.batch.requests")
             self._count("planner.batch.queries", len(graphs))

@@ -1,18 +1,10 @@
-"""Admission control: single-flight coalescing and batch admission.
+"""Admission control: single-flight coalescing.
 
 When many clients ask the planner for the same fingerprint at the same
 moment, only the first (the *leader*) runs the optimization; the rest
 block until the leader finishes and then share its result
-(:class:`SingleFlight`).  This is the de-duplication half of admission
-control: without it, a cold popular query stampedes the optimizer
-exactly when it is most expensive.
-
-:class:`AdmissionBatcher` extends the same idea to *different* queries
-arriving together: concurrent single-query requests with the same knobs
-are held open for a short window and submitted as one
-:meth:`~repro.service.planner.PlannerService.optimize_batch` call, so
-cross-query sharing (see :mod:`repro.core.batch`) kicks in without any
-caller coordinating a batch explicitly.
+(:class:`SingleFlight`).  Without it, a cold popular query stampedes the
+optimizer exactly when it is most expensive.
 """
 
 from __future__ import annotations
@@ -20,7 +12,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Hashable
 
-__all__ = ["AdmissionBatcher", "SingleFlight"]
+__all__ = ["SingleFlight"]
 
 
 class _Call:
@@ -85,101 +77,3 @@ class SingleFlight:
         with self._lock:
             call = self._calls.get(key)
             return call.waiters if call is not None else 0
-
-
-class _PendingBatch:
-    """One open admission window and the requests riding in it."""
-
-    __slots__ = ("ctx", "knobs", "graphs", "closed", "full", "done",
-                 "result", "error")
-
-    def __init__(self, ctx: Any, knobs: dict) -> None:
-        self.ctx = ctx
-        self.knobs = knobs
-        self.graphs: list = []
-        self.closed = False
-        #: Set when the window reaches ``max_batch``; wakes the leader
-        #: early so a full batch never waits out the whole window.
-        self.full = threading.Event()
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
-
-
-class AdmissionBatcher:
-    """Coalesces concurrent solo planning requests into one batch.
-
-    The first request for a given ``(context, knobs)`` group becomes the
-    *leader*: it holds the admission window open for ``window_seconds``
-    (or until ``max_batch`` requests have joined, whichever is first),
-    then submits every collected graph as one
-    ``service.optimize_batch(...)`` call.  Each caller gets back its own
-    per-query :class:`~repro.core.annotation.Plan` from the resulting
-    :class:`~repro.core.batch.BatchPlan`, in arrival order.  Requests
-    with different knobs (or different explicit contexts) never batch
-    together — they would not be jointly plannable.  Thread safe.
-    """
-
-    def __init__(self, service, *, window_seconds: float = 0.01,
-                 max_batch: int = 8) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if window_seconds < 0:
-            raise ValueError("window_seconds must be >= 0, "
-                             f"got {window_seconds}")
-        self.service = service
-        self.window_seconds = window_seconds
-        self.max_batch = max_batch
-        self._lock = threading.Lock()
-        self._open: dict[Hashable, _PendingBatch] = {}
-        self.batches = 0
-        self.coalesced = 0
-
-    def submit(self, graph, ctx=None, **knobs):
-        """Plan ``graph``, batched with whoever else shows up in time.
-
-        Blocks until the batch's leader has planned (at most the window
-        plus one batch optimization); returns this request's plan.  A
-        planner error is re-raised in every rider of the batch.
-        """
-        key = (id(ctx), tuple(sorted(knobs.items())))
-        with self._lock:
-            batch = self._open.get(key)
-            if batch is None or batch.closed or \
-                    len(batch.graphs) >= self.max_batch:
-                batch = _PendingBatch(ctx, dict(knobs))
-                self._open[key] = batch
-                leader = True
-            else:
-                leader = False
-            index = len(batch.graphs)
-            batch.graphs.append(graph)
-            if len(batch.graphs) >= self.max_batch:
-                batch.full.set()
-
-        if leader:
-            if self.max_batch > 1:
-                batch.full.wait(self.window_seconds)
-            with self._lock:
-                batch.closed = True
-                if self._open.get(key) is batch:
-                    del self._open[key]
-                self.batches += 1
-                self.coalesced += len(batch.graphs) - 1
-            try:
-                batch.result = self.service.optimize_batch(
-                    batch.graphs, batch.ctx, **batch.knobs)
-            except BaseException as exc:
-                batch.error = exc
-            batch.done.set()
-        else:
-            batch.done.wait()
-
-        if batch.error is not None:
-            raise batch.error
-        return batch.result.queries[index].plan
-
-    def stats(self) -> dict[str, int]:
-        """Lifetime batching counters."""
-        with self._lock:
-            return {"batches": self.batches, "coalesced": self.coalesced}

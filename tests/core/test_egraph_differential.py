@@ -206,7 +206,8 @@ for name, graph in cases:
     extracted, report = saturate_graph(graph, ctx)
     payload = report.to_dict()
     payload["seconds"] = 0.0  # wall clock legitimately varies
-    out[name] = [graph_signature(extracted), payload]
+    out[name] = [graph_signature(extracted),
+                 [v.name for v in extracted.vertices], payload]
 print(json.dumps(out, sort_keys=True))
 """
 
@@ -223,9 +224,9 @@ def _run_probe(hashseed: str) -> dict:
 
 
 def test_saturation_independent_of_hashseed():
-    """Identical extracted structures and saturation reports under
-    PYTHONHASHSEED=0 and =1: the worklists iterate insertion-ordered dicts
-    and sorted integer ids, never hash()-ordered sets."""
+    """Identical extracted structures, vertex names and saturation reports
+    under PYTHONHASHSEED=0 and =1: the worklists iterate insertion-ordered
+    dicts and sorted integer ids, never hash()-ordered sets."""
     assert _run_probe("0") == _run_probe("1")
 
 

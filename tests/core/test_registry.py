@@ -79,21 +79,21 @@ class TestTransformChoice:
 
 class TestContextExtension:
     def test_source_formats_added_for_search(self):
-        from repro.core.optimizer import _context_for
+        from repro.core.optimizer import context_for_graph
         from repro.core import ComputeGraph
 
         g = ComputeGraph()
         g.add_source("A", matrix(100, 10_000), row_strips(10))
         ctx = OptimizerContext()
-        extended = _context_for(g, ctx)
+        extended = context_for_graph(g, ctx)
         assert row_strips(10) in extended.formats
         assert len(extended.formats) == len(ctx.formats) + 1
 
     def test_no_copy_when_formats_already_known(self):
-        from repro.core.optimizer import _context_for
+        from repro.core.optimizer import context_for_graph
         from repro.core import ComputeGraph
 
         g = ComputeGraph()
         g.add_source("A", matrix(4000, 4000), tiles(1000))
         ctx = OptimizerContext()
-        assert _context_for(g, ctx) is ctx
+        assert context_for_graph(g, ctx) is ctx

@@ -29,12 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OptimizerContext, optimize
+from repro.core.formats import col_strips, row_strips
 from repro.engine import (
     INTERMEDIATE_CACHE,
     IntermediateStore,
     execute_plan,
 )
-from repro.workloads import motivating_graph
+from repro.lang import build, input_matrix
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -156,7 +157,13 @@ class TestHashSeedIndependence:
 # Real executions: ledger reconciliation and warm-run reuse.
 # ----------------------------------------------------------------------
 def _workload():
-    graph = motivating_graph()
+    # The Section 2.1 chain (matA x matB) x matC with its strip layouts,
+    # at laptop scale: at paper scale matC alone is 763 MiB dense, and
+    # none of the ledger properties below depends on scale.
+    mat_a = input_matrix("matA", 100, 1000, fmt=row_strips(10))
+    mat_b = input_matrix("matB", 1000, 100, fmt=col_strips(10))
+    mat_c = input_matrix("matC", 100, 20_000, fmt=col_strips(10_000))
+    graph = build((mat_a @ mat_b) @ mat_c)
     rng = np.random.default_rng(7)
     inputs = {s.name: rng.standard_normal((s.mtype.rows, s.mtype.cols))
               for s in graph.sources}

@@ -1,20 +1,17 @@
-"""Service-layer batch planning: cache, single-flight and admission.
+"""Service-layer batch planning: cache and fingerprint domain.
 
 ``PlannerService.optimize_batch`` must fingerprint a batch as the
-ordered composition of its members' request fingerprints, serve repeats
-from the plan cache with every profile marked ``cache_hit=True``, and
-count under ``planner.batch.*``.  ``AdmissionBatcher`` must coalesce
-concurrent solo submissions with identical knobs into one batch call
-and hand each caller its own per-query plan.
+ordered composition of its submitted members' request fingerprints,
+serve repeats from the plan cache with every profile marked
+``cache_hit=True`` and no rewrite, and count under ``planner.batch.*``.
 """
-
-import threading
 
 import pytest
 
 from repro.core.batch import BatchPlan
+from repro.core.fingerprint import request_fingerprint
 from repro.obs.metrics import MetricsRegistry
-from repro.service import AdmissionBatcher, PlannerService, batch_fingerprint
+from repro.service import PlannerService, batch_fingerprint
 from repro.workloads import (
     amazoncat_config,
     ffnn_forward,
@@ -51,6 +48,24 @@ class TestServiceBatch:
         assert counters["planner.batch.queries"] == 4
         assert counters["planner.batch.cache.hits"] == 1
         assert counters["planner.batch.cache.misses"] == 1
+
+    def test_rewrites_each_member_once_and_only_on_a_miss(
+            self, rewrite_calls):
+        svc = PlannerService()
+        graphs = _pair()
+        svc.optimize_batch(graphs, max_states=MAX_STATES,
+                           rewrites="pipeline")
+        # The merged DAG is also handed to the stage (with rewrites off);
+        # count the submitted members only.
+        member_ids = {id(g) for g in graphs}
+        rewritten = [id(c) for c in rewrite_calls if id(c) in member_ids]
+        assert sorted(rewritten) == sorted(member_ids)
+
+        rewrite_calls.clear()
+        warm = svc.optimize_batch(graphs, max_states=MAX_STATES,
+                                  rewrites="pipeline")
+        assert warm.merged.profile.cache_hit
+        assert rewrite_calls == []
 
     def test_batch_and_solo_keys_never_collide(self):
         """A singleton batch and the equivalent solo request are distinct
@@ -90,77 +105,11 @@ class TestServiceBatch:
         a reordered batch is a different request."""
         svc = PlannerService()
         graphs = _pair()
-        fps = []
-        for g in graphs:
-            ctx = svc.resolve_context(g, None)
-            from repro.core.fingerprint import request_fingerprint
-            from repro.core.optimizer import rewrite_stage
-            rewritten, _ = rewrite_stage(g, ctx, "none", svc.tracer)
-            fps.append(request_fingerprint(
-                g, rewritten, ctx, algorithm="auto", timeout_seconds=None,
-                max_states=MAX_STATES, rewrites="none", prune=None,
-                order="class-size", frontier="array"))
+        fps = [request_fingerprint(g, g, svc.resolve_context(g, None),
+                                   max_states=MAX_STATES)
+               for g in graphs]
         assert batch_fingerprint(fps).key != \
             batch_fingerprint(list(reversed(fps))).key
         # And a batch never shares a key with its own sole member.
         assert batch_fingerprint(fps[:1]).key != fps[0].key
 
-
-class TestAdmissionBatcher:
-    def test_concurrent_submissions_coalesce_into_one_batch(self):
-        metrics = MetricsRegistry()
-        svc = PlannerService(metrics=metrics)
-        # A full window closes early, so a long window stays deterministic.
-        batcher = AdmissionBatcher(svc, window_seconds=30.0, max_batch=2)
-        graphs = _pair()
-        plans = [None, None]
-        errors = []
-
-        def submit(i):
-            try:
-                plans[i] = batcher.submit(graphs[i],
-                                          max_states=MAX_STATES)
-            except BaseException as exc:  # pragma: no cover - debug aid
-                errors.append(exc)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not errors
-        assert all(p is not None for p in plans)
-        assert batcher.stats() == {"batches": 1, "coalesced": 1}
-        assert svc.stats()["batch"]["requests"] == 1
-        for plan in plans:
-            assert plan.profile.batch_queries == 2
-            assert plan.profile.shared_subplans  # the shared forward pass
-
-    def test_solo_submission_degenerates_to_singleton_batch(self):
-        svc = PlannerService()
-        batcher = AdmissionBatcher(svc, window_seconds=0.0, max_batch=4)
-        plan = batcher.submit(mm_chain_graph(1), max_states=MAX_STATES)
-        assert plan.profile.batch_queries == 1
-        assert batcher.stats() == {"batches": 1, "coalesced": 0}
-
-    def test_different_knobs_never_batch_together(self):
-        svc = PlannerService()
-        batcher = AdmissionBatcher(svc, window_seconds=0.0, max_batch=4)
-        batcher.submit(mm_chain_graph(1), max_states=MAX_STATES)
-        batcher.submit(mm_chain_graph(1), max_states=MAX_STATES,
-                       frontier="object")
-        assert batcher.stats()["batches"] == 2
-
-    def test_planner_errors_reach_every_rider(self):
-        svc = PlannerService()
-        batcher = AdmissionBatcher(svc, window_seconds=0.0, max_batch=4)
-        with pytest.raises(ValueError, match="unknown frontier"):
-            batcher.submit(mm_chain_graph(1), frontier="bogus")
-
-    def test_bad_construction_rejected(self):
-        svc = PlannerService()
-        with pytest.raises(ValueError, match="max_batch"):
-            AdmissionBatcher(svc, max_batch=0)
-        with pytest.raises(ValueError, match="window_seconds"):
-            AdmissionBatcher(svc, window_seconds=-1.0)

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import ClusterConfig, simsql_cluster
-from repro.core import OptimizerContext
+from repro.core import ComputeGraph, OptimizerContext, matrix
+from repro.core.atoms import MATMUL, RELU
 from repro.core.fingerprint import (
     catalog_signature,
     graph_signature,
@@ -66,11 +67,10 @@ WORKLOADS = {
 
 
 def _fp(graph, ctx=None, **knobs):
-    """Fingerprint a request exactly the way PlannerService does."""
+    """Fingerprint a request exactly the way PlannerService does: on the
+    submitted graph, before any rewrite runs."""
     ctx = context_for_graph(graph, ctx or OptimizerContext())
-    rewritten, _report = rewrite_stage(graph, ctx,
-                                       knobs.get("rewrites", "none"))
-    return request_fingerprint(graph, rewritten, ctx, **knobs)
+    return request_fingerprint(graph, graph, ctx, **knobs)
 
 
 def _relu_mm(name_x="X", name_w="W", rows=1000, inner=2000, cols=400):
@@ -79,6 +79,16 @@ def _relu_mm(name_x="X", name_w="W", rows=1000, inner=2000, cols=400):
     x = input_matrix(name_x, rows, inner, fmt=single())
     w = input_matrix(name_w, inner, cols, fmt=single())
     return build(relu(x @ w))
+
+
+def _labelled_relu_mm(x="X", w="W", mm="XW", out="Y"):
+    """``out = relu(x @ w)`` with every vertex name chosen by the caller."""
+    g = ComputeGraph()
+    vx = g.add_source(x, matrix(1000, 2000), single())
+    vw = g.add_source(w, matrix(2000, 400), single())
+    vmm = g.add_op(mm, MATMUL, (vx, vw))
+    g.mark_output(g.add_op(out, RELU, (vmm,)))
+    return g
 
 
 # ----------------------------------------------------------------------
@@ -138,13 +148,22 @@ def test_dimensions_are_parameters_not_structure():
 
 
 def test_names_are_parameters_not_structure():
-    """The executor binds inputs by name, so renamed graphs must share a
-    structural key while keeping distinct parameter bindings."""
+    """The executor binds inputs and outputs by name, so renamed graphs
+    must share a structural key while keeping distinct parameter
+    bindings.  Intermediate labels bind nothing: renaming only them keeps
+    the whole key."""
     a = _fp(_relu_mm("X", "W"))
     b = _fp(_relu_mm("Y", "V"))
     assert a.structural == b.structural
     assert a.params != b.params
     assert a.key != b.key
+
+    base = _fp(_labelled_relu_mm())
+    assert _fp(_labelled_relu_mm(mm="matmul_99")).key == base.key
+    for bound in ({"x": "X2"}, {"w": "W2"}, {"out": "Y2"}):
+        renamed = _fp(_labelled_relu_mm(**bound))
+        assert renamed.structural == base.structural, bound
+        assert renamed.params != base.params, bound
 
 
 def test_sparsity_is_a_parameter():
@@ -292,10 +311,7 @@ def test_no_collisions_across_families_and_knobs():
         for knobs in ({}, {"rewrites": "all"}, {"max_states": 200}):
             for workers in (5, 10):
                 ctx = OptimizerContext(cluster=simsql_cluster(workers))
-                fp = request_fingerprint(
-                    g, rewrite_stage(g, context_for_graph(g, ctx),
-                                     knobs.get("rewrites", "none"))[0],
-                    context_for_graph(g, ctx), **knobs)
+                fp = _fp(g, ctx, **knobs)
                 label = (name, tuple(sorted(knobs.items())), workers)
                 assert fp.key not in seen, \
                     f"collision: {label} vs {seen[fp.key]}"

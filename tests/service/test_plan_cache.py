@@ -177,18 +177,20 @@ def _comparable(plan) -> dict:
     return payload
 
 
+@pytest.mark.parametrize("rewrites", ["all", "none"])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_cached_plan_identical_to_cold_plan(name):
-    """For every workload family: the plan served from the cache must be
-    identical — graph, annotation, per-vertex formats, total cost — to a
-    plan freshly produced by the core optimizer, with rewrites on."""
+def test_cached_plan_identical_to_cold_plan(name, rewrites):
+    """For every workload family, with rewrites on and off: the plan
+    served from the cache must be identical — graph, annotation,
+    per-vertex formats, total cost — to a plan freshly produced by the
+    core optimizer."""
     graph = WORKLOADS[name]()
     service = PlannerService(OptimizerContext(formats=CATALOG))
 
-    cold = service.optimize(graph, rewrites="all")
-    warm = service.optimize(graph, rewrites="all")
+    cold = service.optimize(graph, rewrites=rewrites)
+    warm = service.optimize(graph, rewrites=rewrites)
     fresh = optimize(graph, OptimizerContext(formats=CATALOG),
-                     rewrites="all")
+                     rewrites=rewrites)
 
     assert warm.profile is not None and warm.profile.cache_hit
     assert not fresh.profile.cache_hit

@@ -106,6 +106,20 @@ def test_engines_never_share_cache_entries(monkeypatch):
     assert repeat.pipeline.engine == "egraph"
 
 
+@pytest.mark.parametrize("rewrites", ["none", "pipeline", "egraph"])
+def test_cache_hit_runs_no_rewrite_stage(rewrite_calls, rewrites):
+    """The key is taken from the submitted graph: a miss rewrites once,
+    a hit does not rewrite at all, under every engine."""
+    session = SqlSession()
+    session.execute(SCRIPT)
+    cold = session.optimize("matAB", rewrites=rewrites)
+    assert len(rewrite_calls) == 1
+    warm = session.optimize("matAB", rewrites=rewrites)
+    assert len(rewrite_calls) == 1
+    assert not cold.profile.cache_hit and warm.profile.cache_hit
+    assert warm.total_seconds == cold.total_seconds
+
+
 def test_different_views_are_different_requests():
     metrics = MetricsRegistry()
     session = SqlSession(metrics=metrics)
@@ -161,6 +175,44 @@ def test_tenants_share_plans_exactly_when_contexts_match():
     assert not plan_c.profile.cache_hit       # different cluster -> cold
     assert plan_b.annotation is plan_a.annotation
     assert plan_c.total_seconds != plan_a.total_seconds
+
+
+#: A two-layer FFNN written as one view of nested calls: every
+#: intermediate is unnamed, so each session labels it afresh.
+FFNN_SCRIPT = """
+CREATE TABLE X (mat MATRIX[1000][6000]);
+CREATE TABLE W1 (mat MATRIX[6000][400]);
+CREATE TABLE B1 (mat MATRIX[1][400]);
+CREATE TABLE W2 (mat MATRIX[400][17]);
+CREATE TABLE B2 (mat MATRIX[1][17]);
+LOAD X FORMAT 'row_strips(100)';
+CREATE VIEW scores (mat) AS
+SELECT softmax(add_bias(matrix_multiply(relu(add_bias(
+    matrix_multiply(x.mat, w1.mat), c1.mat)), w2.mat), c2.mat))
+FROM X AS x, W1 AS w1, B1 AS c1, W2 AS w2, B2 AS c2;
+"""
+
+
+def test_nested_call_template_hits_across_fresh_sessions(rewrite_calls):
+    """Intermediate labels are not part of the key: three fresh tenant
+    sessions submitting the same nested-call script share one plan."""
+    service = PlannerService()
+    ctx = OptimizerContext(cluster=simsql_cluster(8))
+    labels, plans = set(), []
+    for _ in range(3):
+        session = SqlSession.for_tenant(service, ctx)
+        session.execute(FFNN_SCRIPT)
+        labels.add(tuple(v.name for v in
+                         session.graph("scores").inner_vertices))
+        plans.append(session.optimize("scores", rewrites="pipeline"))
+
+    assert len(labels) == 3          # every session labelled afresh
+    stats = service.stats()
+    assert (stats["misses"], stats["hits"]) == (1, 2)
+    assert len(service.cache) == 1
+    assert len(rewrite_calls) == 1
+    assert [p.profile.cache_hit for p in plans] == [False, True, True]
+    assert plans[1].annotation is plans[0].annotation
 
 
 def test_private_sessions_do_not_share():
