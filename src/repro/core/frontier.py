@@ -364,7 +364,9 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
             del active[cls.cid]
 
     unvisited = [v.vid for v in graph.inner_vertices]
+    mark = time.perf_counter()
     candidate_counts = _candidate_output_counts(graph, ctx)
+    stats.charge_phase("patterns", time.perf_counter() - mark)
 
     tracer = as_tracer(tracer)
     with tracer.span("sweep", kind="search-phase",
@@ -379,7 +381,9 @@ def optimize_dag_object(graph: ComputeGraph, ctx: OptimizerContext,
             v = graph.vertex(vid)
             edges = graph.in_edges(vid)
             in_types = tuple(graph.vertex(p).mtype for p in v.inputs)
+            mark = time.perf_counter()
             patterns = ctx.accepted_patterns(v.op, in_types)
+            stats.charge_phase("patterns", time.perf_counter() - mark)
             if not patterns:
                 raise OptimizationError(
                     f"no implementation accepts any formats at vertex {v.name!r}")

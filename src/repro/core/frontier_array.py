@@ -18,8 +18,9 @@ the three hot loops run as array operations:
 * **dominance pruning** — each kept state (up to
   :data:`~repro.core.frontier.DOMINANCE_COMPARISONS` of them) marks every
   later candidate it dominates in one vectorized bound computation against
-  per-slot Δ-matrices built from the same
-  :class:`~repro.core.frontier._DominanceOracle`.
+  per-slot Δ-matrices.  Each Δ-matrix is built from the same memoized cost
+  vectors, one per format the consumer edge can request, and equals the
+  object path's scalar ``_DominanceOracle.edge_delta`` cell for cell.
 
 Bit-identity with the object path is load-bearing, not best-effort — the
 differential harness in ``tests/core/test_differential.py`` asserts it.
@@ -36,10 +37,15 @@ Three invariants make it hold:
    first-insertion rule: a table key sits at its first-appearance position
    and is won by the *earliest* entry attaining its minimum cost.
 
-Back-pointers (:class:`~repro.core.frontier._Back`) are materialized only
-for entries that survive dedup, pruning and the beam — the object path
-builds one per strict improvement — which is where much of the speedup on
-wide DAGs comes from.  Plan reconstruction is shared with the object path.
+Projections hold arrays only: adjusted costs, the class-table row of each
+entry (``full_idx``) and the surviving members' format codes, re-encoded
+into the new table's code space.  States and back-pointers
+(:class:`~repro.core.frontier._Back`) are materialized only for entries
+that survive dedup, pruning and the beam — the object path builds one per
+strict improvement — by decoding the new key codes and reading each merged
+class's full state (hence its transform choices and retiring formats)
+back through ``full_idx``.  Plan reconstruction is shared with the object
+path.
 """
 
 from __future__ import annotations
@@ -167,31 +173,37 @@ def _first_and_winner(inverse: np.ndarray, costs: np.ndarray
 # ----------------------------------------------------------------------
 # Vectorized dominance pruning
 # ----------------------------------------------------------------------
-def _delta_matrix(oracle: _DominanceOracle, cache: dict, mtype, needs,
+def _delta_matrix(ctx: OptimizerContext, cache: dict, mtype, needs,
                   fmts: tuple) -> np.ndarray:
     """Δ-matrix for one (consumer edge, slot): ``D[a, b] = Δ_e(fmts[a],
-    fmts[b])`` with an exact ``0.0`` diagonal (the object path skips
-    equal-format slots, so their contribution must be a no-op add)."""
+    fmts[b])``, equal to :meth:`~repro.core.frontier._DominanceOracle.
+    edge_delta` cell for cell.
+
+    Built from one memoized transform-cost vector ``t_q`` per needed format
+    ``q``: ``D[a, b] = max(0, max_q t_q[a] − t_q[b])`` over the ``q`` that
+    ``fmts[b]`` can reach, ``inf`` where ``fmts[a]`` cannot reach such a
+    ``q``.  Unreachable entries are masked before subtracting, so no
+    ``inf − inf`` is ever formed.  The diagonal is an exact ``0.0`` (the
+    object path skips equal-format slots, so their contribution must be a
+    no-op add)."""
     key = (mtype, needs, fmts)
     got = cache.get(key)
     if got is None:
         k = len(fmts)
         got = np.zeros((k, k), dtype=np.float64)
-        for a, p1 in enumerate(fmts):
-            for b, p2 in enumerate(fmts):
-                if a != b:
-                    got[a, b] = oracle.edge_delta(mtype, needs, p1, p2)
+        for q in needs:
+            t = ctx.transform_cost_vector(mtype, fmts, q)
+            reach = np.isfinite(t)
+            if not reach.any():
+                continue
+            finite = np.where(reach, t, 0.0)
+            gap = finite[:, None] - finite[None, :]
+            gap[~reach, :] = np.inf   # a cannot feed q ...
+            gap[:, ~reach] = 0.0      # ... which only matters if b can
+            np.maximum(got, gap, out=got)
+        np.fill_diagonal(got, 0.0)
         cache[key] = got
     return got
-
-
-def _slot_deltas(oracle: _DominanceOracle, cache: dict,
-                 members: tuple[VertexId, ...],
-                 slot_fmts) -> list[list[np.ndarray]]:
-    """Per slot, the Δ-matrices of its remaining consumer edges."""
-    return [[_delta_matrix(oracle, cache, mtype, needs, tuple(fmts))
-             for mtype, needs in oracle.member_edges(m)]
-            for m, fmts in zip(members, slot_fmts)]
 
 
 def _prune_rows(costs: np.ndarray, codes: np.ndarray,
@@ -238,19 +250,29 @@ def _prune_rows(costs: np.ndarray, codes: np.ndarray,
 
 
 class _Pruner:
-    """Shares the oracle and the Δ-matrix cache across one sweep."""
+    """Shares the oracle's consumer-edge view and the Δ-matrix cache across
+    one sweep."""
 
-    def __init__(self, oracle: _DominanceOracle) -> None:
+    def __init__(self, oracle: _DominanceOracle,
+                 ctx: OptimizerContext) -> None:
         self.oracle = oracle
+        self.ctx = ctx
         self.cache: dict = {}
+
+    def slot_deltas(self, members: tuple[VertexId, ...],
+                    slot_fmts) -> list[list[np.ndarray]]:
+        """Per slot, the Δ-matrices of its remaining consumer edges."""
+        return [[_delta_matrix(self.ctx, self.cache, mtype, needs,
+                               tuple(fmts))
+                 for mtype, needs in self.oracle.member_edges(m)]
+                for m, fmts in zip(members, slot_fmts)]
 
     def prune_table(self, members: tuple[VertexId, ...],
                     table: _ArrayTable, stats: FrontierStats) -> _ArrayTable:
         if len(table) < 2 or not members:
             return table
-        deltas = _slot_deltas(self.oracle, self.cache, members,
-                              table.slot_fmts)
-        keep = _prune_rows(table.costs, table.codes, deltas, stats)
+        keep = _prune_rows(table.costs, table.codes,
+                           self.slot_deltas(members, table.slot_fmts), stats)
         return table if keep is None else table.filtered(keep)
 
 
@@ -262,20 +284,41 @@ class _Proj:
 
     Entry ``j`` mirrors one entry of the object path's
     ``sub-state -> (adjusted cost, full state, transform choices)``
-    projection dict, in the same insertion order; ``sub_codes`` carries the
-    sub-states re-encoded into the *new* table's key-slot code space.
+    projection dict, in the same insertion order.  Only the arrays are
+    kept: the full state, its transform choices and retiring formats are
+    read back through ``full_idx`` for the few entries that survive into
+    the new table (see the materialization step).  ``sub_codes`` carries
+    the sub-states re-encoded into the *new* table's key-slot code space.
     """
 
-    __slots__ = ("adj", "full_idx", "sub_fmts", "choices", "retired",
-                 "sub_codes")
+    __slots__ = ("adj", "full_idx", "sub_codes")
 
-    def __init__(self, adj, full_idx, sub_fmts, choices, retired):
+    def __init__(self, adj, full_idx, sub_codes):
         self.adj = adj              # (n,) float64 adjusted costs
         self.full_idx = full_idx    # (n,) indices into the class table
-        self.sub_fmts = sub_fmts    # list[State] surviving-member formats
-        self.choices = choices      # list[tuple[(edge, transform, fmt)]]
-        self.retired = retired      # list[tuple[(vid, fmt)]]
-        self.sub_codes = None       # (n, n_survivors) int64, set by caller
+        self.sub_codes = sub_codes  # (n, n_survivors) int64
+
+
+def _recode(col: np.ndarray, fmts: tuple, fmt_codes: dict) -> np.ndarray:
+    """Map one column of a class table's format codes into a new key slot.
+
+    ``fmts`` decodes the old codes; ``fmt_codes`` (format -> new code) is
+    extended in first-appearance order down the column, so codes and the
+    new table's ``slot_fmts`` come out exactly as a per-row walk would
+    assign them.
+    """
+    if col.shape[0] == 0:
+        return col.copy()
+    old_codes, first = np.unique(col, return_index=True)
+    remap = np.zeros(len(fmts), dtype=np.int64)
+    for code in old_codes[np.argsort(first)].tolist():
+        fmt = fmts[code]
+        new = fmt_codes.get(fmt)
+        if new is None:
+            new = len(fmt_codes)
+            fmt_codes[fmt] = new
+        remap[code] = new
+    return remap[col]
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +343,8 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
     consumers_left: dict[VertexId, int] = {
         vid: graph.out_degree(vid) for vid in graph.vertex_ids}
     visited: set[VertexId] = set()
-    pruner = _Pruner(_DominanceOracle(graph, ctx, visited)) if prune else None
+    pruner = _Pruner(_DominanceOracle(graph, ctx, visited), ctx) \
+        if prune else None
 
     history: dict[int, _Class] = {}
     active: dict[int, _Class] = {}
@@ -331,7 +375,9 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
             del active[cls.cid]
 
     unvisited = [v.vid for v in graph.inner_vertices]
+    mark = time.perf_counter()
     candidate_counts = _candidate_output_counts(graph, ctx)
+    stats.charge_phase("patterns", time.perf_counter() - mark)
 
     tracer = as_tracer(tracer)
     with tracer.span("sweep", kind="search-phase",
@@ -346,7 +392,9 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
             v = graph.vertex(vid)
             edges = graph.in_edges(vid)
             in_types = tuple(graph.vertex(p).mtype for p in v.inputs)
+            mark = time.perf_counter()
             patterns = ctx.accepted_patterns(v.op, in_types)
+            stats.charge_phase("patterns", time.perf_counter() - mark)
             if not patterns:
                 raise OptimizationError(
                     f"no implementation accepts any formats at vertex {v.name!r}")
@@ -377,6 +425,17 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                     class_of_member[m] = cls.cid
             for pos, edge in enumerate(edges):
                 edges_of_class[class_of_member[edge.src]].append((edge, pos))
+            # Per class: (state slot, edge, producer type) per edge into v,
+            # and (state slot, member) per member retiring at this step.
+            class_edges = {
+                cls.cid: [(local_slot[edge.src], edge,
+                           graph.vertex(edge.src).mtype)
+                          for edge, _pos in edges_of_class[cls.cid]]
+                for cls in involved}
+            class_retiring = {
+                cls.cid: [(i, m) for i, m in enumerate(cls.members)
+                          if consumers_left[m] == 0]
+                for cls in involved}
 
             groups: dict[tuple, dict] = {}
             for impl, in_fmts, out_fmt, impl_cost in patterns:
@@ -408,18 +467,13 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                 if cached is not _MISSING:
                     return cached
                 table: _ArrayTable = cls.table
-                n = len(table)
-                stats.states_examined += n
+                stats.states_examined += len(table)
                 survivor_idx = class_surv_idx[cls.cid]
-                converters = []
-                for (edge, _pos), need in zip(edges_of_class[cls.cid], needs):
-                    ptype = graph.vertex(edge.src).mtype
-                    converters.append(
-                        (local_slot[edge.src], edge, ptype, need))
                 # The same add sequence as the object path: class cost,
                 # then one transformation cost per edge, in edge order.
                 adjusted = table.costs.copy()
-                for slot, _edge, ptype, need in converters:
+                for (slot, _edge, ptype), need in zip(class_edges[cls.cid],
+                                                      needs):
                     tvec = ctx.transform_cost_vector(
                         ptype, table.slot_fmts[slot], need)
                     adjusted += tvec[table.codes[:, slot]]
@@ -428,70 +482,34 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                     proj_cache[key] = None
                     return None
                 adj = adjusted[feas_idx]
-                if survivor_idx:
-                    sub = table.codes[np.ix_(feas_idx, survivor_idx)]
-                    cards = [len(table.slot_fmts[i]) for i in survivor_idx]
-                else:
-                    sub = np.empty((feas_idx.shape[0], 0), dtype=np.int64)
-                    cards = []
-                inverse = _group_rows(sub, cards)
+                sub = table.codes[np.ix_(feas_idx, survivor_idx)]
+                inverse = _group_rows(
+                    sub, [len(table.slot_fmts[i]) for i in survivor_idx])
                 _first, winner = _first_and_winner(inverse, adj)
                 full_idx = feas_idx[winner]
-                proj_adj = adj[winner]
-
-                retiring = [(i, m) for i, m in enumerate(cls.members)
-                            if consumers_left[m] == 0]
-                sub_fmts: list[State] = []
-                choices: list[tuple] = []
-                retired: list[tuple] = []
-                for fi in full_idx:
-                    state = table.states[fi]
-                    sub_fmts.append(
-                        tuple(state[i] for i in survivor_idx))
-                    row = []
-                    for slot, edge, ptype, need in converters:
-                        transform = ctx.transform_choice(
-                            ptype, state[slot], need)[0]
-                        row.append((edge, transform, need))
-                    choices.append(tuple(row))
-                    retired.append(tuple((m, state[i]) for i, m in retiring))
-
-                proj = _Proj(proj_adj, full_idx, sub_fmts, choices, retired)
-                if pruner is not None and len(proj_adj) > 1 and survivor_idx:
-                    members_surv = tuple(cls.members[i] for i in survivor_idx)
-                    deltas = _slot_deltas(
-                        pruner.oracle, pruner.cache, members_surv,
+                adj = adj[winner]
+                sub = sub[winner]
+                if pruner is not None and len(adj) > 1 and survivor_idx:
+                    deltas = pruner.slot_deltas(
+                        tuple(cls.members[i] for i in survivor_idx),
                         [table.slot_fmts[i] for i in survivor_idx])
-                    keep = _prune_rows(
-                        proj.adj, sub[winner], deltas, stats)
+                    keep = _prune_rows(adj, sub, deltas, stats)
                     if keep is not None:
-                        idx = np.flatnonzero(keep)
-                        proj = _Proj(proj.adj[idx], proj.full_idx[idx],
-                                     [proj.sub_fmts[i] for i in idx],
-                                     [proj.choices[i] for i in idx],
-                                     [proj.retired[i] for i in idx])
+                        adj, full_idx, sub = adj[keep], full_idx[keep], \
+                            sub[keep]
                 # Encode the surviving sub-states into the new key space.
                 base = slot_offsets[cls.cid]
-                codes = np.empty((len(proj.adj), len(survivor_idx)),
-                                 dtype=np.int64)
-                for j in range(len(survivor_idx)):
-                    fmt_codes = key_fmt_codes[base + j]
-                    col = codes[:, j]
-                    for r, fmts in enumerate(proj.sub_fmts):
-                        fmt = fmts[j]
-                        code = fmt_codes.get(fmt)
-                        if code is None:
-                            code = len(fmt_codes)
-                            fmt_codes[fmt] = code
-                        col[r] = code
-                proj.sub_codes = codes
+                for j, i in enumerate(survivor_idx):
+                    sub[:, j] = _recode(sub[:, j], table.slot_fmts[i],
+                                        key_fmt_codes[base + j])
+                proj = _Proj(adj, full_idx, sub)
                 proj_cache[key] = proj
                 return proj
 
             # ---------------- apply + cross product ----------------
             ecosts: list[np.ndarray] = []
             ekeys: list[np.ndarray] = []
-            eprov: list[tuple] = []  # (projections, outs_list, combo, out)
+            eprov: list[tuple] = []  # (projections, outs_list)
             out_codes_map = key_fmt_codes[-1] if v_survives else None
             for in_fmts, outs in groups.items():
                 projections = []
@@ -503,12 +521,12 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                     if proj is None:
                         feasible = False
                         break
-                    projections.append((cls, proj))
+                    projections.append((cls, needs, proj))
                 if not feasible:
                     continue
                 # Outer-sum chain == the object path's per-class adds.
                 base = np.zeros(1, dtype=np.float64)
-                for _cls, proj in projections:
+                for _cls, _needs, proj in projections:
                     base = (base[:, None] + proj.adj[None, :]).ravel()
                 n_combos = base.shape[0]
                 outs_list = list(outs.items())
@@ -517,16 +535,15 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                                       dtype=np.float64)
                 costs_g = (base[:, None] + impl_costs[None, :]).ravel()
 
-                sizes = [proj.sub_codes.shape[0]
-                         for _cls, proj in projections]
                 combo_idx = np.arange(n_combos)
                 blocks = []
                 stride = n_combos
-                for (_cls, proj), size in zip(projections, sizes):
+                for _cls, _needs, proj in projections:
+                    size = proj.sub_codes.shape[0]
                     stride //= size
-                    idx_j = (combo_idx // stride) % size
                     if proj.sub_codes.shape[1]:
-                        blocks.append(proj.sub_codes[idx_j])
+                        blocks.append(
+                            proj.sub_codes[(combo_idx // stride) % size])
                 keys_combo = np.hstack(blocks) if blocks else \
                     np.empty((n_combos, 0), dtype=np.int64)
                 keys_g = np.repeat(keys_combo, n_outs, axis=0)
@@ -542,9 +559,7 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                         [keys_g, np.tile(ocol, n_combos)[:, None]])
                 ecosts.append(costs_g)
                 ekeys.append(keys_g)
-                eprov.append((projections, outs_list,
-                              np.repeat(combo_idx, n_outs),
-                              np.tile(np.arange(n_outs), n_combos)))
+                eprov.append((projections, outs_list))
 
             if not ecosts:
                 raise OptimizationError(
@@ -564,9 +579,8 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
             if pruner is not None:
                 mark = time.perf_counter()
                 if len(table_costs) > 1 and new_members:
-                    slot_fmt_lists = [tuple(d) for d in key_fmt_codes]
-                    deltas = _slot_deltas(pruner.oracle, pruner.cache,
-                                          new_members, slot_fmt_lists)
+                    deltas = pruner.slot_deltas(
+                        new_members, [tuple(d) for d in key_fmt_codes])
                     keep = _prune_rows(table_costs, table_keys, deltas,
                                        stats)
                     if keep is not None:
@@ -583,44 +597,51 @@ def optimize_dag_array(graph: ComputeGraph, ctx: OptimizerContext,
                 table_costs = table_costs[beam]
                 table_keys = table_keys[beam]
 
-            # Materialize states + back-pointers for the survivors only.
+            # Materialize states + back-pointers for the survivors only:
+            # each new state decodes from its key codes, and each merged
+            # class's full state (hence its transform choices and retiring
+            # formats) is read back through the projection's ``full_idx``.
+            mark = time.perf_counter()
+            slot_fmts = tuple(tuple(d) for d in key_fmt_codes)
             bounds = np.cumsum([0] + group_sizes)
+            group_of = np.searchsorted(bounds, winner, side="right") - 1
             states: list[State] = []
             backs: list[_Back | None] = []
-            for entry in winner:
-                g = int(np.searchsorted(bounds, entry, side="right")) - 1
-                projections, outs_list, combo_of, out_of = eprov[g]
-                local = int(entry) - int(bounds[g])
-                combo = int(combo_of[local])
-                out_fmt, (_icost, impl) = outs_list[int(out_of[local])]
-                key_parts: list = []
+            for entry, g, key_row in zip(winner.tolist(), group_of.tolist(),
+                                         table_keys.tolist()):
+                projections, outs_list = eprov[g]
+                combo, out_i = divmod(entry - int(bounds[g]),
+                                      len(outs_list))
+                out_fmt, (_icost, impl) = outs_list[out_i]
                 prev = []
-                edge_choices: list = []
-                retired: list = []
+                edge_choices = []
+                retired = []
                 stride = 1
-                for _cls, proj in projections:
+                for _cls, _needs, proj in projections:
                     stride *= proj.sub_codes.shape[0]
-                for cls, proj in projections:
-                    stride //= proj.sub_codes.shape[0]
-                    e_j = (combo // stride) % proj.sub_codes.shape[0]
-                    key_parts.extend(proj.sub_fmts[e_j])
-                    full_state = cls.table.states[int(proj.full_idx[e_j])]
+                for cls, needs, proj in projections:
+                    size = proj.sub_codes.shape[0]
+                    stride //= size
+                    fi = int(proj.full_idx[(combo // stride) % size])
+                    full_state = cls.table.states[fi]
                     prev.append((cls.cid, full_state))
-                    edge_choices.extend(proj.choices[e_j])
-                    retired.extend(proj.retired[e_j])
-                if v_survives:
-                    state: State = tuple(key_parts) + (out_fmt,)
-                    out_retired = tuple(retired)
-                else:
-                    state = tuple(key_parts)
-                    out_retired = tuple(retired) + ((vid, out_fmt),)
-                states.append(state)
+                    for (slot, edge, ptype), need in zip(
+                            class_edges[cls.cid], needs):
+                        transform = ctx.transform_choice(
+                            ptype, full_state[slot], need)[0]
+                        edge_choices.append((edge, transform, need))
+                    retired.extend((m, full_state[i])
+                                   for i, m in class_retiring[cls.cid])
+                if not v_survives:
+                    retired.append((vid, out_fmt))
+                states.append(tuple(fmts[c]
+                                    for fmts, c in zip(slot_fmts, key_row)))
                 backs.append(_Back(vid, impl, tuple(edge_choices), out_fmt,
-                                   tuple(prev), out_retired))
+                                   tuple(prev), tuple(retired)))
+            stats.charge_phase("materialize", time.perf_counter() - mark)
 
-            new_table = _ArrayTable(
-                states, table_costs, backs, table_keys,
-                tuple(tuple(d) for d in key_fmt_codes))
+            new_table = _ArrayTable(states, table_costs, backs, table_keys,
+                                    slot_fmts)
             cls = new_class(new_members, new_table)
             if not new_members:
                 completed.append((float(table_costs[0]), (cls.cid, ())))

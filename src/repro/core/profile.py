@@ -31,7 +31,11 @@ class OptimizerProfile:
     max_class_size: int = 0
     #: Inner-vertex ids in the order the sweep consumed them.
     sweep_order: tuple[int, ...] = ()
-    #: Wall-clock seconds per search phase ("order", "project", "prune", ...).
+    #: Wall-clock seconds per search phase: "patterns" (implementation
+    #: menus and candidate-output counts), "order", "project" (projection,
+    #: apply and dedup), "prune" (dominance prune; absent when off),
+    #: "materialize" (array frontier only: states and back-pointers of the
+    #: surviving entries) and "reconstruct".
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: True when the plan carrying this profile was served from the
     #: :class:`repro.service.PlanCache` rather than searched afresh.  The

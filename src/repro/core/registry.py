@@ -9,11 +9,15 @@ planner works against an :class:`OptimizerContext`, which bundles
 * the cluster description and the regression cost model.
 
 The context memoizes implementation typing/costing and transformation
-lookup, which is what makes the dynamic programs fast.
+lookup, which is what makes the dynamic programs fast: each
+implementation's pattern enumeration runs once per ``(op, input types)``
+and feeds every menu, and each ``(type, source, target)`` transformation
+is costed once however many batched cost vectors it appears in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +40,6 @@ from .transforms import (
 )
 from .types import MatrixType
 
-#: (implementation, output format, features, cost-in-seconds)
-ImplChoice = tuple[OpImplementation, PhysicalFormat, CostFeatures, float]
 #: (transform, features, cost-in-seconds)
 TransformChoice = tuple[FormatTransform, CostFeatures, float]
 
@@ -61,6 +63,8 @@ class OptimizerContext:
         self._impl_cache: dict = {}
         self._transform_cache: dict = {}
         self._transform_vec_cache: dict = {}
+        self._transform_pair_cache: dict = {}
+        self._pattern_cache: dict = {}
         self._impls_by_op: dict[AtomicOp, tuple[OpImplementation, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -78,28 +82,6 @@ class OptimizerContext:
                 cached = fused_implementations(op)
             self._impls_by_op[op] = cached
         return cached
-
-    # ------------------------------------------------------------------
-    def impl_choice(
-        self,
-        impl: OpImplementation,
-        in_types: tuple[MatrixType, ...],
-        in_formats: tuple[PhysicalFormat, ...],
-    ) -> ImplChoice | None:
-        """Typed + costed application of ``impl``, or None (⊥) if rejected."""
-        key = (impl.name, in_types, in_formats)
-        if key in self._impl_cache:
-            return self._impl_cache[key]
-        out_fmt = impl.output_format(in_types, in_formats, self.cluster)
-        if out_fmt is None:
-            result = None
-        else:
-            feats = impl.features(in_types, in_formats, self.cluster)
-            cost = self.cost_model.seconds(feats)
-            result = None if cost == float("inf") else \
-                (impl, out_fmt, feats, cost)
-        self._impl_cache[key] = result
-        return result
 
     # ------------------------------------------------------------------
     def transform_choice(
@@ -144,19 +126,32 @@ class OptimizerContext:
         Returns a read-only float64 array: entry ``i`` equals
         ``search_transform_cost(mtype, srcs[i], dst)`` with ``None`` encoded
         as ``inf`` (so infeasible states fall out of a vectorized
-        ``isfinite`` mask).  Costs come from one batched cost-model
-        evaluation (:func:`repro.core.transforms.transform_cost_table`) and
-        are bit-identical to the scalar path's.  Memoized per
-        ``(mtype, srcs, dst)`` — the vectorized frontier asks once per
-        (class slot, needed format) pair per sweep.
+        ``isfinite`` mask).  Memoized per ``(mtype, srcs, dst)`` — the
+        vectorized frontier asks once per (class slot, needed format) pair
+        per sweep, and builds its dominance Δ-matrices from these vectors.
+
+        Underneath sits a per-pair memo: the same ``(mtype, src, dst)``
+        pair recurs under many ``srcs`` tuples (a slot's formats in
+        first-appearance order), so only pairs never seen before are costed,
+        in one batched cost-model evaluation
+        (:func:`repro.core.transforms.transform_cost_table`).  That
+        evaluation is elementwise, so every cost is bit-identical to the
+        scalar path's whatever batch it was computed in.
         """
         key = (mtype, srcs, dst)
         cached = self._transform_vec_cache.get(key)
         if cached is None:
-            costs = transform_cost_table(
-                mtype, srcs, dst, self.cluster, self.transforms,
-                batch_cost=self.cost_model.batch_seconds)
-            cached = np.array(costs, dtype=np.float64)
+            pairs = self._transform_pair_cache
+            unseen = [src for src in dict.fromkeys(srcs)
+                      if (mtype, src, dst) not in pairs]
+            if unseen:
+                costs = transform_cost_table(
+                    mtype, unseen, dst, self.cluster, self.transforms,
+                    batch_cost=self.cost_model.batch_seconds)
+                for src, cost in zip(unseen, costs):
+                    pairs[(mtype, src, dst)] = cost
+            cached = np.array([pairs[(mtype, src, dst)] for src in srcs],
+                              dtype=np.float64)
             if not self.charge_transforms:
                 cached[np.isfinite(cached)] = 0.0
             cached.setflags(write=False)
@@ -164,6 +159,29 @@ class OptimizerContext:
         return cached
 
     # ------------------------------------------------------------------
+    def _candidate_patterns(
+        self, op: AtomicOp, in_types: tuple[MatrixType, ...],
+    ) -> tuple[tuple[OpImplementation,
+                     tuple[tuple[tuple[PhysicalFormat, ...],
+                                 PhysicalFormat], ...]], ...]:
+        """Every implementation of ``op`` with its enumerated ``(input
+        formats, output format)`` patterns over the format catalog.
+
+        The enumeration calls ``output_format`` once per catalog cross
+        product entry (361 calls for a binary implementation over 19
+        formats), so it runs once per ``(op, in_types)`` and the three menus
+        below all derive from it.
+        """
+        key = (op, in_types)
+        cached = self._pattern_cache.get(key)
+        if cached is None:
+            cached = tuple(
+                (impl, tuple(impl.candidate_patterns(in_types, self.formats,
+                                                     self.cluster)))
+                for impl in self.impls_for(op))
+            self._pattern_cache[key] = cached
+        return cached
+
     def output_candidates(
         self, op: AtomicOp, in_types: tuple[MatrixType, ...],
     ) -> tuple[PhysicalFormat, ...]:
@@ -172,33 +190,33 @@ class OptimizerContext:
 
         This per-vertex candidate pruning never excludes an optimal plan:
         a format no implementation can output can never label the vertex.
+        Memoized, and derived from the same per-``(op, in_types)`` pattern
+        enumeration as :meth:`accepted_patterns` and :meth:`typed_patterns`.
         """
+        key = ("outputs", op, in_types)
+        if key in self._impl_cache:
+            return self._impl_cache[key]
         seen: dict[PhysicalFormat, None] = {}
-        for impl in self.impls_for(op):
-            for _, out in impl.candidate_patterns(in_types, self.formats,
-                                                  self.cluster):
+        for _impl, patterns in self._candidate_patterns(op, in_types):
+            for _, out in patterns:
                 seen.setdefault(out, None)
-        return tuple(seen)
+        result = tuple(seen)
+        self._impl_cache[key] = result
+        return result
 
     def accepted_patterns(
         self, op: AtomicOp, in_types: tuple[MatrixType, ...],
     ) -> tuple[tuple[OpImplementation, tuple[PhysicalFormat, ...],
                      PhysicalFormat, float], ...]:
         """Every (impl, input formats, output format, cost) tuple accepted by
-        some implementation of ``op``.  Memoized: this is the inner loop of
-        both dynamic programs."""
+        some implementation of ``op``: the :meth:`typed_patterns` rows whose
+        cost is finite, in the same order.  Memoized: this is the inner
+        loop of both dynamic programs."""
         key = (op, in_types)
         if key in self._impl_cache:
             return self._impl_cache[key]
-        rows = []
-        for impl in self.impls_for(op):
-            for in_fmts, _ in impl.candidate_patterns(in_types, self.formats,
-                                                      self.cluster):
-                choice = self.impl_choice(impl, tuple(in_types), in_fmts)
-                if choice is not None:
-                    _, out_fmt, _, cost = choice
-                    rows.append((impl, in_fmts, out_fmt, cost))
-        result = tuple(rows)
+        result = tuple(row for row in self.typed_patterns(op, in_types)
+                       if row[3] != math.inf)
         self._impl_cache[key] = result
         return result
 
@@ -219,9 +237,8 @@ class OptimizerContext:
         if key in self._impl_cache:
             return self._impl_cache[key]
         rows = []
-        for impl in self.impls_for(op):
-            for in_fmts, out_fmt in impl.candidate_patterns(
-                    in_types, self.formats, self.cluster):
+        for impl, patterns in self._candidate_patterns(op, in_types):
+            for in_fmts, out_fmt in patterns:
                 feats = impl.features(tuple(in_types), in_fmts, self.cluster)
                 cost = self.cost_model.seconds(feats)
                 rows.append((impl, in_fmts, out_fmt, cost))

@@ -12,9 +12,12 @@ worst-case shared-ancestor topology.
 import math
 import random
 
+import numpy as np
 import pytest
 
+from repro.cluster import simsql_cluster
 from repro.core import ComputeGraph, OptimizerContext, matrix
+from repro.core import frontier_array
 from repro.core.atoms import (
     ADD,
     ELEM_MUL,
@@ -25,7 +28,13 @@ from repro.core.atoms import (
 )
 from repro.core.brute import optimize_brute
 from repro.core.formats import col_strips, row_strips, single, tiles
-from repro.core.frontier import ORDERS, FrontierStats, optimize_dag
+from repro.core.frontier import (
+    FRONTIERS,
+    ORDERS,
+    FrontierStats,
+    _DominanceOracle,
+    optimize_dag,
+)
 from repro.core.tree_dp import optimize_tree
 from repro.workloads import (
     AttentionConfig,
@@ -262,6 +271,102 @@ class TestArrayMatchesObject:
             for order in ORDERS:
                 _assert_array_matches_object(graph, ctx, prune=prune,
                                              order=order)
+
+
+def full_catalog_ctx(charge_transforms: bool) -> OptimizerContext:
+    """The benchmark's planning context: every catalog format, 10 SimSQL
+    workers."""
+    return OptimizerContext(cluster=simsql_cluster(10),
+                            charge_transforms=charge_transforms)
+
+
+#: Workloads small enough to run both frontiers at the full catalog.
+FULL_CATALOG = {
+    "tree_scale1": lambda: tree_graph(1),
+    "dag1_scale1": lambda: dag1_graph(1),
+    "dag2_scale1": lambda: dag2_graph(1),
+    "mm_chain_set1": lambda: mm_chain_graph(1),
+    "ml_linear_regression": lambda: linear_regression(100_000, 1000).graph,
+    "ml_power_iteration": lambda: power_iteration(20_000).graph,
+}
+
+
+class TestFullCatalog:
+    """Array vs object at the full format catalog, where slots carry many
+    formats and the transform-cost and Δ-matrix memos see many pairs."""
+
+    @pytest.mark.parametrize("charge", [True, False])
+    @pytest.mark.parametrize("name", sorted(FULL_CATALOG))
+    def test_array_matches_object(self, name, charge):
+        graph = FULL_CATALOG[name]()
+        ctx = full_catalog_ctx(charge)
+        for prune in (True, False):
+            for order in ORDERS:
+                _assert_array_matches_object(graph, ctx, prune=prune,
+                                             order=order)
+
+
+#: (graph, beam) per workload whose pruned full-catalog sweep builds
+#: Δ-matrices; the inverse's sparse formats give cells of ``inf``.
+DELTA_WORKLOADS = {
+    "dag1_scale1": (lambda: dag1_graph(1), None),
+    "mm_chain_set2": (lambda: mm_chain_graph(2), None),
+    "ml_ridge_gd": (lambda: ridge_gradient_descent(100_000, 1000).graph,
+                    None),
+    "wide_shared": (lambda: wide_shared_dag(2, 5, dim=20_000), None),
+    "ffnn_backprop": (
+        lambda: ffnn_backprop_to_w2(FFNNConfig(hidden=40_000)), 100),
+    "inverse": (two_level_inverse_graph, 100),
+}
+
+
+class TestDeltaMatrices:
+    """Every Δ-matrix the array sweep builds from cost vectors equals the
+    object path's scalar ``edge_delta`` oracle cell for cell."""
+
+    @pytest.mark.parametrize("charge", [True, False])
+    @pytest.mark.parametrize("name", sorted(DELTA_WORKLOADS))
+    def test_match_edge_delta(self, monkeypatch, name, charge):
+        built = {}
+        original = frontier_array._delta_matrix
+
+        def recording(ctx, cache, mtype, needs, fmts):
+            got = original(ctx, cache, mtype, needs, fmts)
+            built[(mtype, needs, fmts)] = got
+            return got
+
+        monkeypatch.setattr(frontier_array, "_delta_matrix", recording)
+        build_graph, beam = DELTA_WORKLOADS[name]
+        graph = build_graph()
+        ctx = full_catalog_ctx(charge)
+        optimize_dag(graph, ctx, prune=True, max_states=beam)
+        assert built
+        oracle = _DominanceOracle(graph, ctx, set())
+        for (mtype, needs, fmts), got in built.items():
+            want = np.zeros((len(fmts), len(fmts)))
+            for a, p1 in enumerate(fmts):
+                for b, p2 in enumerate(fmts):
+                    if a != b:
+                        want[a, b] = oracle.edge_delta(mtype, needs, p1, p2)
+            assert np.array_equal(got, want), (mtype, needs, fmts)
+        if name == "inverse":
+            assert any(np.isinf(got).any() for got in built.values())
+
+
+class TestPhases:
+    """Both frontiers charge the whole sweep to named phases."""
+
+    @pytest.mark.parametrize("frontier", FRONTIERS)
+    def test_phase_keys(self, frontier):
+        graph = dag1_graph(1)
+        ctx = full_catalog_ctx(True)
+        exact = optimize_dag(graph, ctx, frontier=frontier, prune=True)
+        beamed = optimize_dag(graph, ctx, frontier=frontier, max_states=4)
+        keys = {"patterns", "order", "project", "reconstruct"}
+        if frontier == "array":
+            keys.add("materialize")
+        assert set(exact.profile.phase_seconds) == keys | {"prune"}
+        assert set(beamed.profile.phase_seconds) == keys
 
 
 @pytest.mark.perf

@@ -1,16 +1,22 @@
 """Tests for the optimizer context: menus, caching, ablation switches."""
 
+import collections
 import math
 
+import pytest
 
 from repro.cluster import simsql_cluster
 from repro.core import OptimizerContext, matrix
-from repro.core.atoms import MATMUL
+from repro.core import registry
+from repro.core.atoms import ADD, MATMUL, RELU
 from repro.core.formats import (
+    col_strips,
+    csr_strips,
     row_strips,
     single,
     tiles,
 )
+from repro.core.implementations import OpImplementation
 
 
 class TestMenus:
@@ -34,7 +40,8 @@ class TestMenus:
         types = (matrix(160_000, 10_000), matrix(10_000, 160_000))
         typed = ctx.typed_patterns(MATMUL, types)
         accepted = ctx.accepted_patterns(MATMUL, types)
-        assert len(typed) >= len(accepted)
+        assert accepted == tuple(row for row in typed
+                                 if math.isfinite(row[3]))
         assert any(math.isinf(cost) for *_rest, cost in typed)
 
     def test_output_candidates_are_admissible(self):
@@ -50,6 +57,72 @@ class TestMenus:
         first = ctx.accepted_patterns(MATMUL, types)
         second = ctx.accepted_patterns(MATMUL, types)
         assert first is second
+
+
+class TestSharedEnumeration:
+    def test_candidate_patterns_run_once_per_op_and_types(self, monkeypatch):
+        """output_candidates, accepted_patterns and typed_patterns share
+        one enumeration per (op, in_types), whichever menu asks first."""
+        calls = collections.Counter()
+        original = OpImplementation.candidate_patterns
+
+        def counting(impl, in_types, catalog, cluster):
+            calls[(impl.name, in_types)] += 1
+            return original(impl, in_types, catalog, cluster)
+
+        monkeypatch.setattr(OpImplementation, "candidate_patterns", counting)
+        ctx = OptimizerContext(cluster=simsql_cluster(10))
+        square = (matrix(4000, 4000), matrix(4000, 4000))
+        menus = (ctx.output_candidates, ctx.accepted_patterns,
+                 ctx.typed_patterns)
+        cases = ((MATMUL, square), (ADD, square),
+                 (RELU, (matrix(4000, 4000),)),
+                 (MATMUL, (matrix(160_000, 10_000), matrix(10_000, 4000))))
+        for shift, (op, in_types) in enumerate(cases):
+            for k in range(len(menus) + 1):  # every menu, one twice
+                menus[(shift + k) % len(menus)](op, in_types)
+            impls = ctx.impls_for(op)
+            assert impls
+            assert [calls[(i.name, in_types)] for i in impls] == \
+                [1] * len(impls)
+
+
+class TestTransformCostVector:
+    @pytest.mark.parametrize("charge", [True, False])
+    def test_pairs_costed_once_and_match_scalar(self, monkeypatch, charge):
+        """Permuted and overlapping source tuples cost each (type, src,
+        dst) pair once, and every entry equals search_transform_cost
+        exactly (None -> inf)."""
+        costed = collections.Counter()
+        original = registry.transform_cost_table
+
+        def counting(mtype, srcs, dst, *args, **kwargs):
+            for src in srcs:
+                costed[(mtype, src, dst)] += 1
+            return original(mtype, srcs, dst, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "transform_cost_table", counting)
+        ctx = OptimizerContext(cluster=simsql_cluster(10),
+                               charge_transforms=charge)
+        mtype = matrix(20_000, 20_000)
+        fmts = ctx.formats
+        srcs_list = (fmts[:8], fmts[4:12][::-1], fmts[::2], fmts,
+                     fmts[::-1], fmts[3:5])
+        dsts = (single(), tiles(1000), row_strips(1000), col_strips(1000),
+                csr_strips(1000))
+        seen_inf = seen_finite = False
+        for dst in dsts:
+            for srcs in srcs_list:
+                vec = ctx.transform_cost_vector(mtype, srcs, dst)
+                want = [ctx.search_transform_cost(mtype, src, dst)
+                        for src in srcs]
+                assert vec.tolist() == [math.inf if c is None else c
+                                        for c in want]
+                seen_inf |= bool((vec == math.inf).any())
+                seen_finite |= bool((vec < math.inf).any())
+        assert seen_inf and seen_finite
+        assert len(costed) == len(fmts) * len(dsts)
+        assert set(costed.values()) == {1}
 
 
 class TestTransformChoice:
