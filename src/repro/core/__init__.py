@@ -21,7 +21,7 @@ from .formats import (
     sparse_tiles,
     tiles,
 )
-from .frontier import FrontierStats, optimize_dag
+from .frontier import optimize_dag
 from .profile import OptimizerProfile
 from .graph import ComputeGraph, Edge, GraphError, Vertex, VertexId
 from .implementations import (
@@ -78,7 +78,7 @@ __all__ = [
     "SINGLE_STRIP_BLOCK_FORMATS", "Layout", "PhysicalFormat",
     "admissible_formats", "coo", "col_strips", "csr_strips", "csc_strips",
     "row_strips", "single", "sparse_single", "sparse_tiles", "tiles",
-    "FrontierStats", "OptimizerProfile", "optimize_dag",
+    "OptimizerProfile", "optimize_dag",
     "ComputeGraph", "Edge", "GraphError", "Vertex", "VertexId",
     "DEFAULT_IMPLEMENTATIONS", "JoinStrategy", "OpImplementation",
     "implementations_for",

@@ -22,8 +22,9 @@ carry shared-subplan provenance (``batch_queries``/``shared_subplans`` in
 Correctness contract (enforced permanently by
 ``tests/core/test_batch_differential.py``): per-query numerics are
 ``allclose`` to independently optimized solo plans, the merged batch cost
-never exceeds the sum of solo costs, and the ``array`` and ``object``
-frontiers agree bit-identically on the merged DAG.
+never exceeds the sum of solo costs, and a merged DAG that is not tree
+shaped gets the same plan, bit for bit, from the tests-side per-state
+frontier oracle.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from dataclasses import dataclass
 from .annotation import Annotation, Plan, make_plan
 from .fingerprint import subplan_fingerprint
 from .graph import ComputeGraph, Edge, VertexId
-from .optimizer import (ALGORITHMS, context_for_graph, optimize,
-                        rewrite_stage)
-from .frontier import FRONTIERS
+from .optimizer import (context_for_graph, optimize, rewrite_stage,
+                        validate_knobs)
 from .profile import OptimizerProfile
 from .registry import OptimizerContext
-from .rewrites import RewriteSpec, validate_rewrites
+from .rewrites import RewriteSpec
 
 __all__ = ["BatchPlan", "BatchQuery", "merge_graphs", "optimize_batch"]
 
@@ -193,13 +193,8 @@ def _unique_name(name: str, used: set[str]) -> str:
 
 
 def optimize_batch(graphs, ctx: OptimizerContext | None = None, *,
-                   algorithm: str = "auto",
-                   timeout_seconds: float | None = None,
                    max_states: int | None = None,
                    rewrites: RewriteSpec = "none",
-                   prune: bool | None = None,
-                   order: str = "class-size",
-                   frontier: str = "array",
                    tracer=None,
                    metrics=None) -> BatchPlan:
     """Jointly optimize N query graphs with cross-query sharing.
@@ -215,13 +210,7 @@ def optimize_batch(graphs, ctx: OptimizerContext | None = None, *,
     graphs = tuple(graphs)
     if not graphs:
         raise ValueError("optimize_batch needs at least one query graph")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; "
-                         f"expected one of {ALGORITHMS}")
-    if frontier not in FRONTIERS:
-        raise ValueError(f"unknown frontier {frontier!r}; "
-                         f"expected one of {FRONTIERS}")
-    validate_rewrites(rewrites)
+    validate_knobs(max_states, rewrites)
     if ctx is None:
         ctx = OptimizerContext()
 
@@ -233,11 +222,8 @@ def optimize_batch(graphs, ctx: OptimizerContext | None = None, *,
         rewritten.append(rgraph)
 
     merged_graph, maps, used_by, cse_hits = merge_graphs(rewritten)
-    merged_plan = optimize(merged_graph, ctx, algorithm=algorithm,
-                           timeout_seconds=timeout_seconds,
-                           max_states=max_states, rewrites="none",
-                           prune=prune, order=order, frontier=frontier,
-                           tracer=tracer, metrics=metrics)
+    merged_plan = optimize(merged_graph, ctx, max_states=max_states,
+                           rewrites="none", tracer=tracer, metrics=metrics)
 
     shared = tuple(sorted(mv for mv, users in used_by.items()
                           if len(users) > 1))

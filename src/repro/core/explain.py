@@ -103,7 +103,7 @@ def explain(plan: Plan, ctx: OptimizerContext, top: int = 5,
 
 
 def explain_graph(graph: ComputeGraph, ctx: OptimizerContext | None = None,
-                  *, planner=None, algorithm: str = "auto",
+                  *, planner=None,
                   max_states: int | None = None,
                   rewrites="none", top: int = 5, measured=None) -> str:
     """Optimize ``graph`` and render its EXPLAIN report in one step.
@@ -117,8 +117,8 @@ def explain_graph(graph: ComputeGraph, ctx: OptimizerContext | None = None,
     if planner is None:
         planner = PlannerService(ctx)
     resolved = planner.resolve_context(graph, ctx)
-    plan = planner.optimize(graph, resolved, algorithm=algorithm,
-                            max_states=max_states, rewrites=rewrites)
+    plan = planner.optimize(graph, resolved, max_states=max_states,
+                            rewrites=rewrites)
     return explain(plan, resolved, top=top, measured=measured)
 
 

@@ -11,8 +11,8 @@ The key has two parts:
 * the **structural key** — a sha256 over the *shapes* of the problem: the
   submitted logical graph's topology (ops and source layouts, not names
   or sizes), the :class:`ClusterConfig`, the catalog/cost-model version
-  signature, and the search knobs, including the rewrite engine and its
-  rule-set version;
+  signature, and the two planning knobs: the ``max_states`` beam and the
+  rewrite engine with its rule-set version;
 * the **parameter slots** — per-vertex dimensions, sparsities, estimated
   ``nnz`` and scalar op parameters, plus the names the executor binds:
   source names (inputs are fed by name) and output names (results are
@@ -37,6 +37,7 @@ from typing import Any
 
 from ..cluster import ClusterConfig
 from .egraph.rules import RULESET_VERSION
+from .frontier import validate_search_knobs
 from .graph import ComputeGraph
 from .registry import OptimizerContext
 from .rewrites import RewriteSpec, resolve_engine, resolve_passes
@@ -171,12 +172,8 @@ def _rewrites_payload(rewrites: RewriteSpec) -> dict:
 
 def request_fingerprint(graph: ComputeGraph, rewritten: ComputeGraph,
                         ctx: OptimizerContext, *,
-                        algorithm: str = "auto",
-                        timeout_seconds: float | None = None,
                         max_states: int | None = None,
                         rewrites: RewriteSpec = "none",
-                        prune: bool | None = None,
-                        order: str = "class-size",
                         frontier: str = "array") -> Fingerprint:
     """Fingerprint one planning request.
 
@@ -185,7 +182,18 @@ def request_fingerprint(graph: ComputeGraph, rewritten: ComputeGraph,
     be the output of :func:`repro.core.optimizer.rewrite_stage` on
     ``graph``; the unrewritten graph then participates in the key exactly
     when the rewrite changed its structure.
+
+    The knobs in the key are exactly the two that can change the answer:
+    ``max_states`` and ``rewrites``.  ``frontier`` accepts only
+    ``"array"`` and stays out of the key.  Bad values raise ``ValueError``
+    before any graph is signed (see
+    :func:`repro.core.frontier.validate_search_knobs`; the rewrites
+    payload resolves the spec as
+    :func:`repro.core.rewrites.validate_rewrites` does).
     """
+    validate_search_knobs(max_states, frontier)
+    knobs = {"max_states": max_states,
+             "rewrites": _rewrites_payload(rewrites)}
     structure, params = graph_signature(rewritten)
     base_structure, base_params = graph_signature(graph)
     if base_structure == structure:
@@ -196,18 +204,7 @@ def request_fingerprint(graph: ComputeGraph, rewritten: ComputeGraph,
         "base_graph": base_structure,
         "cluster": _cluster_payload(ctx.cluster),
         "catalog": catalog_signature(ctx),
-        "knobs": {
-            "algorithm": algorithm,
-            "timeout_seconds": timeout_seconds,
-            "max_states": max_states,
-            "rewrites": _rewrites_payload(rewrites),
-            "prune": prune,
-            "order": order,
-            # The two frontier implementations produce bit-identical plans,
-            # but each request's profile must name the path that ran — so
-            # they cache separately.
-            "frontier": frontier,
-        },
+        "knobs": knobs,
     }
     return Fingerprint(_digest(payload),
                        _canonical([params, base_params]))

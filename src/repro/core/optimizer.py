@@ -7,9 +7,9 @@ Optimization is a pipeline of explicit stages:
    pushdown, matmul-chain reassociation, scalar pushdown, elementwise
    fusion (see :mod:`repro.core.rewrites`).
 2. **Physical optimization**: the linear-time tree DP (paper Algorithm 3)
-   when the graph is tree shaped, the frontier algorithm (paper
-   Algorithm 4) for general DAGs, or brute force (paper Algorithm 2) on
-   request.
+   when the graph is tree shaped, otherwise the frontier algorithm (paper
+   Algorithm 4).  Brute force (paper Algorithm 2) stays available as
+   :func:`repro.core.brute.optimize_brute` for tests and Fig 13.
 
 Stage 1 has two interchangeable engines behind the ``rewrites=`` knob:
 the ordered pass pipeline (``"pipeline"``/``"all"``) and the
@@ -31,17 +31,29 @@ import dataclasses
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, as_tracer
 from .annotation import Plan
-from .brute import optimize_brute
 from .egraph import saturate_graph
 from .fingerprint import graph_signature
-from .frontier import FRONTIERS, FrontierStats, optimize_dag
+from .frontier import optimize_dag, validate_search_knobs
 from .graph import ComputeGraph
 from .registry import OptimizerContext
 from .rewrites import PipelineReport, PlanPipeline, RewriteSpec, \
     resolve_engine, validate_rewrites
 from .tree_dp import optimize_tree
 
-ALGORITHMS = ("auto", "tree", "frontier", "brute")
+
+def validate_knobs(max_states: int | None = None,
+                   rewrites: RewriteSpec = "none",
+                   frontier: str = "array") -> None:
+    """Reject a bad planning knob with a ``ValueError`` that names it.
+
+    Every entry point calls this before any rewrite, fingerprint or search
+    runs.  ``max_states`` and ``frontier`` follow
+    :func:`repro.core.frontier.validate_search_knobs`; ``rewrites`` must
+    name an engine or passes (see
+    :func:`repro.core.rewrites.validate_rewrites`).
+    """
+    validate_search_knobs(max_states, frontier)
+    validate_rewrites(rewrites)
 
 
 def context_for_graph(graph: ComputeGraph, ctx: OptimizerContext
@@ -60,32 +72,18 @@ def context_for_graph(graph: ComputeGraph, ctx: OptimizerContext
     return dataclasses.replace(ctx, formats=tuple(seen))
 
 
-def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
-             algorithm: str = "auto",
-             timeout_seconds: float | None = None,
-             stats: FrontierStats | None = None,
+def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None, *,
              max_states: int | None = None,
              rewrites: RewriteSpec = "none",
-             prune: bool | None = None,
-             order: str = "class-size",
-             frontier: str = "array",
              tracer: Tracer | None = None,
              metrics: MetricsRegistry | None = None) -> Plan:
     """Produce the cost-optimal, type-correct annotated plan for ``graph``.
 
-    ``algorithm`` is one of ``auto`` (tree DP when tree shaped, else the
-    frontier algorithm), ``tree``, ``frontier`` or ``brute``.
-    ``timeout_seconds`` only applies to brute force; ``max_states``
-    beam-prunes the frontier algorithm's class tables (None = exact).
-    ``prune`` and ``order`` tune the frontier algorithm's lossless
-    dominance prune and sweep-order heuristic (see
-    :func:`repro.core.frontier.optimize_dag`); neither changes the
-    returned plan.  ``prune=None`` (the default) prunes exactly when no
-    beam is active.  ``frontier`` selects the frontier algorithm's table
-    representation: ``"array"`` (vectorized, the default) or ``"object"``
-    (the per-state differential oracle) — bit-identical results, different
-    speed.  Unknown values raise ``ValueError`` up front, even when the
-    frontier algorithm would not run for this graph.
+    The search is the tree DP when the graph is tree shaped, else the
+    frontier algorithm.  ``max_states`` beam-prunes the frontier
+    algorithm's class tables (None = exact, with the lossless dominance
+    prune on).  Bad knob values raise ``ValueError`` up front (see
+    :func:`validate_knobs`).
 
     ``rewrites`` selects the logical rewrite engine that runs before the
     physical search: ``"pipeline"`` (alias ``"all"``, the default pass
@@ -99,28 +97,17 @@ def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None,
     ``metrics`` accumulates search-effort counters.  Both default to off
     (see :mod:`repro.obs`).
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; "
-                         f"expected one of {ALGORITHMS}")
-    if frontier not in FRONTIERS:
-        raise ValueError(f"unknown frontier {frontier!r}; "
-                         f"expected one of {FRONTIERS}")
-    # Like the algorithm/frontier knobs above: a typo must fail here, not
-    # silently plan without rewrites.
-    validate_rewrites(rewrites)
+    validate_knobs(max_states, rewrites)
     if ctx is None:
         ctx = OptimizerContext()
     ctx = context_for_graph(graph, ctx)
     tracer = as_tracer(tracer)
 
-    with tracer.span("optimize", kind="optimize", algorithm=algorithm,
+    with tracer.span("optimize", kind="optimize",
                      vertices=len(graph)) as span:
         rewritten, report = rewrite_stage(graph, ctx, rewrites, tracer)
         plan = physical_plan(graph, rewritten, report, ctx,
-                             algorithm=algorithm,
-                             timeout_seconds=timeout_seconds, stats=stats,
-                             max_states=max_states, prune=prune, order=order,
-                             frontier=frontier, tracer=tracer)
+                             max_states=max_states, tracer=tracer)
         span.set(optimizer=plan.optimizer, seconds=plan.total_seconds)
 
     record_optimize_metrics(plan, metrics)
@@ -152,13 +139,8 @@ def rewrite_stage(graph: ComputeGraph, ctx: OptimizerContext,
 
 
 def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
-                  report: PipelineReport | None, ctx: OptimizerContext,
-                  algorithm: str = "auto",
-                  timeout_seconds: float | None = None,
-                  stats: FrontierStats | None = None,
+                  report: PipelineReport | None, ctx: OptimizerContext, *,
                   max_states: int | None = None,
-                  prune: bool | None = None,
-                  order: str = "class-size",
                   frontier: str = "array",
                   tracer: Tracer = NULL_TRACER) -> Plan:
     """Stage 2 + never-worse fallback over one rewritten graph.
@@ -176,28 +158,26 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
     The chosen plan carries ``report`` (``adopted``/``fallback`` downgraded
     when a fallback candidate won).  Structurally identical candidates are
     skipped — the search is deterministic, so they cannot differ.
+    ``frontier`` accepts only ``"array"`` (see
+    :func:`repro.core.frontier.validate_search_knobs`).
     """
-    plan = _optimize_physical(rewritten, ctx, algorithm,
-                              timeout_seconds, stats, max_states,
-                              prune, order, frontier, tracer)
+    validate_search_knobs(max_states, frontier)
+    plan = _optimize_physical(rewritten, ctx, max_states, tracer)
     if report is not None and report.total_rewrites > 0:
         signature = graph_signature(rewritten)[0]
         if report.engine == "egraph":
             pipe_graph, _ = PlanPipeline.from_spec("all").run(
                 graph, ctx, tracer=tracer)
             if graph_signature(pipe_graph)[0] != signature:
-                pipe_plan = _optimize_physical(
-                    pipe_graph, ctx, algorithm, timeout_seconds, stats,
-                    max_states, prune, order, frontier, tracer)
+                pipe_plan = _optimize_physical(pipe_graph, ctx, max_states,
+                                               tracer)
                 if pipe_plan.total_seconds < plan.total_seconds:
                     plan = pipe_plan
                     report = dataclasses.replace(
                         report, adopted=False, fallback="pipeline")
                     signature = graph_signature(pipe_graph)[0]
         if graph_signature(graph)[0] != signature:
-            plain = _optimize_physical(graph, ctx, algorithm,
-                                       timeout_seconds, stats, max_states,
-                                       prune, order, frontier, tracer)
+            plain = _optimize_physical(graph, ctx, max_states, tracer)
             if plain.total_seconds < plan.total_seconds:
                 plan = plain
                 report = dataclasses.replace(report, adopted=False,
@@ -240,29 +220,17 @@ def record_optimize_metrics(plan: Plan,
 
 
 def _optimize_physical(graph: ComputeGraph, ctx: OptimizerContext,
-                       algorithm: str,
-                       timeout_seconds: float | None,
-                       stats: FrontierStats | None,
                        max_states: int | None,
-                       prune: bool | None = None,
-                       order: str = "class-size",
-                       frontier: str = "array",
                        tracer: Tracer = NULL_TRACER) -> Plan:
     """Stage 2: physical search over one (possibly rewritten) graph."""
-    if algorithm == "auto":
-        algorithm = "tree" if graph.is_tree_shaped() else "frontier"
+    algorithm = "tree" if graph.is_tree_shaped() else "frontier"
     with tracer.span(f"search:{algorithm}", kind="search",
                      algorithm=algorithm) as span:
         if algorithm == "tree":
             plan = optimize_tree(graph, ctx)
-        elif algorithm == "frontier":
-            plan = optimize_dag(graph, ctx, stats=stats,
-                                max_states=max_states, prune=prune,
-                                order=order, tracer=tracer,
-                                frontier=frontier)
         else:
-            plan = optimize_brute(graph, ctx,
-                                  timeout_seconds=timeout_seconds)
+            plan = optimize_dag(graph, ctx, max_states=max_states,
+                                tracer=tracer)
         span.set(seconds=plan.total_seconds)
         if plan.profile is not None:
             span.set(states_explored=plan.profile.states_explored,

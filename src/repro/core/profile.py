@@ -34,18 +34,13 @@ class OptimizerProfile:
     #: Wall-clock seconds per search phase: "patterns" (implementation
     #: menus and candidate-output counts), "order", "project" (projection,
     #: apply and dedup), "prune" (dominance prune; absent when off),
-    #: "materialize" (array frontier only: states and back-pointers of the
-    #: surviving entries) and "reconstruct".
+    #: "materialize" (states and back-pointers of the surviving entries)
+    #: and "reconstruct".
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: True when the plan carrying this profile was served from the
     #: :class:`repro.service.PlanCache` rather than searched afresh.  The
     #: counters above then describe the original cold run.
     cache_hit: bool = False
-    #: Which frontier-table implementation ran (``"array"`` / ``"object"``),
-    #: or None for non-frontier searches.  The two implementations report
-    #: identical state counters; only this tag and the wall-clock phase
-    #: timings tell them apart.
-    frontier: str | None = None
     #: Number of queries co-planned with this one by
     #: :func:`repro.core.batch.optimize_batch` (0 for solo requests).
     #: The search counters above then describe the one merged-DAG search
@@ -68,7 +63,6 @@ class OptimizerProfile:
             "sweep_order": list(self.sweep_order),
             "phase_seconds": dict(self.phase_seconds),
             "cache_hit": self.cache_hit,
-            "frontier": self.frontier,
             "batch_queries": self.batch_queries,
             "shared_subplans": list(self.shared_subplans),
         }
@@ -85,7 +79,6 @@ class OptimizerProfile:
             sweep_order=tuple(payload.get("sweep_order", ())),
             phase_seconds=dict(payload.get("phase_seconds", {})),
             cache_hit=payload.get("cache_hit", False),
-            frontier=payload.get("frontier"),
             batch_queries=payload.get("batch_queries", 0),
             shared_subplans=tuple(payload.get("shared_subplans", ())),
         )
@@ -101,16 +94,12 @@ class OptimizerProfile:
         metrics.count("optimizer.states_beamed", self.states_beamed)
         metrics.gauge("optimizer.peak_table_size", self.peak_table_size)
         metrics.gauge("optimizer.max_class_size", self.max_class_size)
-        if self.frontier is not None:
-            metrics.count(f"optimizer.frontier.{self.frontier}_runs")
 
     def describe(self) -> str:
         """Multi-line human-readable rendering."""
         served = " [served from plan cache]" if self.cache_hit else ""
-        algo = self.algorithm if self.frontier is None \
-            else f"{self.algorithm}/{self.frontier}"
         lines = [
-            f"optimizer profile ({algo}){served}: "
+            f"optimizer profile ({self.algorithm}){served}: "
             f"{self.states_explored} states explored, "
             f"{self.states_pruned} dominance-pruned, "
             f"{self.states_beamed} beam-dropped",

@@ -78,8 +78,9 @@ def resolve_engine(spec: RewriteSpec) -> tuple[str, RewriteSpec]:
 def validate_rewrites(spec: RewriteSpec) -> str:
     """Eagerly validate a ``rewrites=`` knob value; returns the engine.
 
-    ``resolve_scheduler`` and the ``frontier=`` knob reject unknown names
-    at call time; this gives ``rewrites=`` the same contract.  Raises
+    ``resolve_scheduler`` rejects unknown names at call time; this gives
+    ``rewrites=`` the same contract (the planning entry points call it
+    through :func:`repro.core.optimizer.validate_knobs`).  Raises
     :class:`ValueError` for unrecognized engine strings, non-iterable
     values, and unknown pass names — *before* any search runs, so a typo
     cannot silently plan without rewrites.

@@ -726,8 +726,9 @@ def resolve_scheduler(spec) -> Scheduler:
     passes through; a string resolves through the alias table
     (``"sequential"``/``"seq"``, ``"thread-pool"``/``"threads"``,
     ``"process-pool"``/``"processes"``).  Anything else raises a clear
-    ``ValueError`` up front — mirroring the ``rewrites=`` and ``frontier=``
-    knob handling — instead of failing deep inside a run.
+    ``ValueError`` up front — mirroring the planning knobs'
+    :func:`~repro.core.optimizer.validate_knobs` — instead of failing deep
+    inside a run.
     """
     if spec is None:
         return SequentialScheduler()

@@ -183,7 +183,7 @@ def ext_optimizer_scaling() -> ExperimentTable:
     column must be identical in every row.
     """
     from ..core.formats import row_strips, single, tiles
-    from ..core.frontier import FrontierStats, optimize_dag
+    from ..core.frontier import optimize_dag
     from ..workloads import wide_shared_dag
 
     catalog = (single(), tiles(1000), tiles(2000), row_strips(1000))
@@ -195,14 +195,11 @@ def ext_optimizer_scaling() -> ExperimentTable:
          "peak table (pruned/unpruned)", "plan cost"])
     for width in (2, 3, 4, 5):
         graph = wide_shared_dag(width, width)
-        runs = {}
-        for prune in (True, False):
-            stats = FrontierStats()
-            ctx = OptimizerContext(formats=catalog)
-            plan = optimize_dag(graph, ctx, stats=stats, prune=prune)
-            runs[prune] = (plan, stats)
-        pruned_plan, pruned_stats = runs[True]
-        plain_plan, plain_stats = runs[False]
+        pruned_plan, plain_plan = (
+            optimize_dag(graph, OptimizerContext(formats=catalog),
+                         prune=prune)
+            for prune in (True, False))
+        pruned_prof, plain_prof = pruned_plan.profile, plain_plan.profile
         costs_match = abs(pruned_plan.total_seconds -
                           plain_plan.total_seconds) <= \
             1e-9 * max(1.0, plain_plan.total_seconds)
@@ -211,7 +208,8 @@ def ext_optimizer_scaling() -> ExperimentTable:
             f"{pruned_plan.optimize_seconds:.2f}s",
             f"{plain_plan.optimize_seconds:.2f}s",
             f"{plain_plan.optimize_seconds / pruned_plan.optimize_seconds:.1f}x",
-            f"{pruned_stats.max_table_size} / {plain_stats.max_table_size}",
+            f"{pruned_prof.peak_table_size} / "
+            f"{plain_prof.peak_table_size}",
             f"{pruned_plan.total_seconds:.2f}s"
             + ("" if costs_match else " != unpruned!"))
         if not costs_match:
@@ -219,11 +217,11 @@ def ext_optimizer_scaling() -> ExperimentTable:
                 f"width {width}: PRUNED COST DIVERGED from unpruned "
                 f"({pruned_plan.total_seconds} vs "
                 f"{plain_plan.total_seconds}) — the prune is broken")
-        prof = pruned_plan.profile
         table.add_note(
             f"width {width}: pruned search explored "
-            f"{prof.states_explored} states ({prof.states_pruned} "
-            f"dominance-pruned) vs {plain_stats.states_examined} unpruned")
+            f"{pruned_prof.states_explored} states "
+            f"({pruned_prof.states_pruned} dominance-pruned) vs "
+            f"{plain_prof.states_explored} unpruned")
     return table
 
 

@@ -116,12 +116,10 @@ def reset_planner_service() -> PlannerService:
 
 
 def plan_with_service(graph, ctx: OptimizerContext, *,
-                      algorithm: str = "auto",
                       max_states: int | None = None,
                       rewrites="none") -> Plan:
     """Optimize one experiment configuration through the shared service."""
-    return planner_service().optimize(graph, ctx, algorithm=algorithm,
-                                      max_states=max_states,
+    return planner_service().optimize(graph, ctx, max_states=max_states,
                                       rewrites=rewrites)
 
 

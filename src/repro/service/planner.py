@@ -35,12 +35,12 @@ from ..core.batch import BatchPlan
 from ..core.batch import optimize_batch as _optimize_batch
 from ..core.fingerprint import batch_fingerprint, request_fingerprint
 from ..core.graph import ComputeGraph
-from ..core.frontier import FRONTIERS
-from ..core.optimizer import (ALGORITHMS, context_for_graph, physical_plan,
-                              record_optimize_metrics, rewrite_stage)
+from ..core.optimizer import (context_for_graph, physical_plan,
+                              record_optimize_metrics, rewrite_stage,
+                              validate_knobs)
 from ..core.profile import OptimizerProfile
 from ..core.registry import OptimizerContext
-from ..core.rewrites import RewriteSpec, validate_rewrites
+from ..core.rewrites import RewriteSpec
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer, as_tracer
 from .cache import PlanCache
@@ -84,38 +84,28 @@ class PlannerService:
     # ------------------------------------------------------------------
     def optimize(self, graph: ComputeGraph,
                  ctx: OptimizerContext | None = None, *,
-                 algorithm: str = "auto",
-                 timeout_seconds: float | None = None,
                  max_states: int | None = None,
                  rewrites: RewriteSpec = "none",
-                 prune: bool | None = None,
-                 order: str = "class-size",
                  frontier: str = "array") -> Plan:
         """Plan ``graph``, serving from the cache when possible.
 
         Accepts the same knobs as :func:`repro.core.optimizer.optimize`
-        (all part of the fingerprint).  The key is taken from the
-        submitted graph, so a hit runs neither the rewrite stage nor the
-        physical search: it returns the cached plan, intermediate labels
-        and all, with its profile marked ``cache_hit=True``.  A miss runs
-        both stages once, inside the single-flight gate, and the
-        ``optimize_seconds`` stored for eviction covers both.
+        (both part of the fingerprint), validated before anything runs;
+        ``frontier`` accepts only ``"array"`` and is not part of the key.
+        The key is taken from the submitted graph, so a hit runs neither
+        the rewrite stage nor the physical search: it returns the cached
+        plan, intermediate labels and all, with its profile marked
+        ``cache_hit=True``.  A miss runs both stages once, inside the
+        single-flight gate, and the ``optimize_seconds`` stored for
+        eviction covers both.
         """
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; "
-                             f"expected one of {ALGORITHMS}")
-        if frontier not in FRONTIERS:
-            raise ValueError(f"unknown frontier {frontier!r}; "
-                             f"expected one of {FRONTIERS}")
+        validate_knobs(max_states, rewrites, frontier)
         ctx = self.resolve_context(graph, ctx)
         with self.tracer.span("optimize", kind="optimize",
-                              algorithm=algorithm,
                               vertices=len(graph)) as span:
-            fp = request_fingerprint(
-                graph, graph, ctx, algorithm=algorithm,
-                timeout_seconds=timeout_seconds, max_states=max_states,
-                rewrites=rewrites, prune=prune, order=order,
-                frontier=frontier)
+            fp = request_fingerprint(graph, graph, ctx,
+                                     max_states=max_states,
+                                     rewrites=rewrites)
             span.set(fingerprint=fp.short())
             self._count("planner.requests")
             self.requests += 1
@@ -136,10 +126,7 @@ class PlannerService:
                 rewritten, report = rewrite_stage(graph, ctx, rewrites,
                                                   self.tracer)
                 plan = physical_plan(graph, rewritten, report, ctx,
-                                     algorithm=algorithm,
-                                     timeout_seconds=timeout_seconds,
-                                     max_states=max_states, prune=prune,
-                                     order=order, frontier=frontier,
+                                     max_states=max_states,
                                      tracer=self.tracer)
                 elapsed = time.perf_counter() - started
                 evicted = self.cache.put(fp, plan, optimize_seconds=elapsed)
@@ -160,12 +147,8 @@ class PlannerService:
 
     def optimize_batch(self, graphs,
                        ctx: OptimizerContext | None = None, *,
-                       algorithm: str = "auto",
-                       timeout_seconds: float | None = None,
                        max_states: int | None = None,
                        rewrites: RewriteSpec = "none",
-                       prune: bool | None = None,
-                       order: str = "class-size",
                        frontier: str = "array") -> BatchPlan:
         """Jointly plan ``graphs`` (see :func:`repro.core.batch.optimize_batch`),
         serving repeated batches from the cache.
@@ -179,27 +162,19 @@ class PlannerService:
         :class:`~repro.core.batch.BatchPlan` with every profile marked
         ``cache_hit=True``; concurrent identical cold batches collapse
         into one merged search via single-flight.  Counters flow under
-        ``planner.batch.*``.
+        ``planner.batch.*``.  Knobs are those of :meth:`optimize`.
         """
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("optimize_batch needs at least one query graph")
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; "
-                             f"expected one of {ALGORITHMS}")
-        if frontier not in FRONTIERS:
-            raise ValueError(f"unknown frontier {frontier!r}; "
-                             f"expected one of {FRONTIERS}")
-        validate_rewrites(rewrites)
+        validate_knobs(max_states, rewrites, frontier)
         base_ctx = ctx if ctx is not None else self.ctx
         with self.tracer.span("optimize-batch", kind="optimize",
                               queries=len(graphs)) as span:
             fp = batch_fingerprint(
                 request_fingerprint(
                     graph, graph, self.resolve_context(graph, ctx),
-                    algorithm=algorithm, timeout_seconds=timeout_seconds,
-                    max_states=max_states, rewrites=rewrites, prune=prune,
-                    order=order, frontier=frontier)
+                    max_states=max_states, rewrites=rewrites)
                 for graph in graphs)
             span.set(fingerprint=fp.short())
             self._count("planner.batch.requests")
@@ -217,10 +192,8 @@ class PlannerService:
                 if again is not None:
                     return again, False
                 batch = _optimize_batch(
-                    graphs, base_ctx, algorithm=algorithm,
-                    timeout_seconds=timeout_seconds, max_states=max_states,
-                    rewrites=rewrites, prune=prune, order=order,
-                    frontier=frontier, tracer=self.tracer)
+                    graphs, base_ctx, max_states=max_states,
+                    rewrites=rewrites, tracer=self.tracer)
                 evicted = self.cache.put(
                     fp, batch, optimize_seconds=batch.optimize_seconds)
                 with self._metrics_lock:
@@ -251,15 +224,14 @@ class PlannerService:
     # ------------------------------------------------------------------
     def explain(self, graph: ComputeGraph,
                 ctx: OptimizerContext | None = None, *,
-                algorithm: str = "auto",
                 max_states: int | None = None,
                 rewrites: RewriteSpec = "none",
                 top: int = 3, measured=None) -> str:
         """Plan ``graph`` (through the cache) and render the explanation."""
         from ..core.explain import explain as render_explain
         ctx = self.resolve_context(graph, ctx)
-        plan = self.optimize(graph, ctx, algorithm=algorithm,
-                             max_states=max_states, rewrites=rewrites)
+        plan = self.optimize(graph, ctx, max_states=max_states,
+                             rewrites=rewrites)
         return render_explain(plan, ctx, top=top, measured=measured)
 
     def whatif(self, graph: ComputeGraph, profile, workers, *,

@@ -17,6 +17,7 @@ from ..cluster import ClusterConfig
 from ..core.annotation import Plan
 from ..core.formats import DEFAULT_FORMATS, Layout, PhysicalFormat
 from ..core.graph import ComputeGraph
+from ..core.optimizer import validate_knobs
 from ..core.registry import OptimizerContext
 from ..service.planner import PlannerService
 
@@ -42,7 +43,6 @@ def sweep_workers(
     workers: Sequence[int],
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     tracer=None,
     planner: PlannerService | None = None,
 ) -> list[SweepPoint]:
@@ -53,13 +53,14 @@ def sweep_workers(
     :class:`~repro.service.PlannerService` — pass ``planner`` to share
     one across sweeps (each (workload, cluster size) point is cached, so
     overlapping sweeps and previews re-use plans); otherwise a throwaway
-    service is created.  ``frontier`` picks the frontier-table
-    implementation (``"array"``/``"object"`` — identical plans, different
-    planning speed).  With a ``tracer``, each point records a
+    service is created.  With a ``tracer``, each point records a
     ``sweep-point`` span with the nested ``optimize`` span tree inside it.
+    Bad knobs raise ``ValueError`` before the first point, rather than
+    reading as infeasible points.
     """
     from ..obs.tracer import as_tracer
 
+    validate_knobs(max_states, rewrites)
     if planner is None:
         planner = PlannerService(tracer=tracer)
     tracer = as_tracer(tracer) if tracer is not None else planner.tracer
@@ -70,8 +71,7 @@ def sweep_workers(
                          workers=count) as span:
             try:
                 plan = planner.optimize(graph, ctx, max_states=max_states,
-                                        rewrites=rewrites,
-                                        frontier=frontier)
+                                        rewrites=rewrites)
                 seconds = plan.total_seconds
             except Exception:
                 plan = None
@@ -88,7 +88,6 @@ def recommend_workers(
     candidates: Sequence[int] = (2, 5, 10, 20, 40, 80),
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> SweepPoint | None:
     """Smallest candidate cluster whose optimized plan meets the target.
@@ -98,7 +97,7 @@ def recommend_workers(
     """
     for point in sweep_workers(graph, profile, sorted(candidates),
                                max_states=max_states, rewrites=rewrites,
-                               frontier=frontier, planner=planner):
+                               planner=planner):
         if point.feasible and point.seconds <= target_seconds:
             return point
     return None
@@ -120,7 +119,6 @@ def format_family_contributions(
     catalog: tuple[PhysicalFormat, ...] = DEFAULT_FORMATS,
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> tuple[float, list[FormatContribution]]:
     """How much each format family matters for this computation.
@@ -135,7 +133,7 @@ def format_family_contributions(
         planner = PlannerService()
     base_ctx = OptimizerContext(cluster=cluster, formats=catalog)
     base = planner.optimize(graph, base_ctx, max_states=max_states,
-                            rewrites=rewrites, frontier=frontier)
+                            rewrites=rewrites)
     protected = {s.format.layout for s in graph.sources}
 
     contributions = []
@@ -146,7 +144,7 @@ def format_family_contributions(
         ctx = OptimizerContext(cluster=cluster, formats=subset)
         try:
             plan = planner.optimize(graph, ctx, max_states=max_states,
-                                    rewrites=rewrites, frontier=frontier)
+                                    rewrites=rewrites)
             seconds = plan.total_seconds
             slowdown = seconds / base.total_seconds
         except Exception:
@@ -180,7 +178,6 @@ def chaos_preview(
     workers: Sequence[int],
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> list[ChaosPreviewPoint]:
     """What losing one worker costs, before it happens.
@@ -191,8 +188,9 @@ def chaos_preview(
     reports the predicted slowdown.  Sizes of 1 are skipped: losing the
     last worker is a cluster failure, not a degraded mode.  With a shared
     ``planner``, sizes the main sweep already optimized come straight
-    from its plan cache.
+    from its plan cache.  Bad knobs raise ``ValueError`` up front.
     """
+    validate_knobs(max_states, rewrites)
     if planner is None:
         planner = PlannerService()
     points = []
@@ -204,8 +202,8 @@ def chaos_preview(
             ctx = OptimizerContext(cluster=profile(n))
             try:
                 seconds.append(planner.optimize(
-                    graph, ctx, max_states=max_states, rewrites=rewrites,
-                    frontier=frontier).total_seconds)
+                    graph, ctx, max_states=max_states,
+                    rewrites=rewrites).total_seconds)
             except Exception:
                 seconds.append(math.inf)
         points.append(ChaosPreviewPoint(count, seconds[0], seconds[1]))
@@ -263,7 +261,6 @@ def compare_batch(
     ctx: OptimizerContext | None = None,
     max_states: int | None = 1000,
     rewrites: str | Sequence[str] = "none",
-    frontier: str = "array",
     planner: PlannerService | None = None,
 ) -> BatchComparison:
     """Plan each graph alone and all of them as one batch; compare.
@@ -275,11 +272,10 @@ def compare_batch(
     """
     if planner is None:
         planner = PlannerService()
-    solo = [planner.optimize(g, ctx, max_states=max_states,
-                             rewrites=rewrites, frontier=frontier)
+    solo = [planner.optimize(g, ctx, max_states=max_states, rewrites=rewrites)
             for g in graphs]
     batch = planner.optimize_batch(graphs, ctx, max_states=max_states,
-                                   rewrites=rewrites, frontier=frontier)
+                                   rewrites=rewrites)
     return BatchComparison(
         names=tuple(names),
         solo_seconds=tuple(p.total_seconds for p in solo),
@@ -388,12 +384,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "the shared rule table, or off")
     parser.add_argument("--no-rewrites", action="store_true",
                         help="legacy alias for --rewrites off")
-    parser.add_argument("--frontier", choices=("array", "object"),
-                        default="array",
-                        help="frontier-table implementation: vectorized "
-                             "numpy tables (default) or the per-state "
-                             "object oracle — identical plans, different "
-                             "planning speed")
     parser.add_argument("--profile", action="store_true",
                         help="print the optimizer search-effort profile "
                              "(states explored/pruned, table sizes, phase "
@@ -420,6 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "Chrome trace JSON for chrome://tracing or "
                              "ui.perfetto.dev)")
     args = parser.parse_args(argv)
+    if args.max_states < 0:
+        parser.error(f"--max-states must be >= 0 (0 = exact search), "
+                     f"got {args.max_states}")
 
     tracer = None
     if args.emit_trace:
@@ -441,8 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     service = PlannerService(tracer=tracer)
     points = sweep_workers(graph, DEFAULT_CLUSTER.with_workers, counts,
                            max_states=max_states, rewrites=rewrites,
-                           frontier=args.frontier, tracer=tracer,
-                           planner=service)
+                           tracer=tracer, planner=service)
     print(f"workload {args.workload}: {len(graph)} vertices, "
           f"rewrites={rewrites}")
     print(render_sweep(points))
@@ -488,14 +480,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             cluster=DEFAULT_CLUSTER.with_workers(counts[0]))
         cmp = compare_batch(batch_graphs, batch_names, batch_ctx,
                             max_states=max_states, rewrites=rewrites,
-                            frontier=args.frontier, planner=service)
+                            planner=service)
         print(f"batch of {len(batch_graphs)} queries at {counts[0]} "
               "workers (solo vs co-planned):")
         print(render_batch(cmp))
     if args.chaos:
         preview = chaos_preview(graph, DEFAULT_CLUSTER.with_workers, counts,
                                 max_states=max_states, rewrites=rewrites,
-                                frontier=args.frontier, planner=service)
+                                planner=service)
         if preview:
             print("chaos preview (one worker lost, plan re-optimized):")
             print(render_chaos_preview(preview))
@@ -506,7 +498,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         best = recommend_workers(graph, DEFAULT_CLUSTER.with_workers,
                                  args.target, counts,
                                  max_states=max_states, rewrites=rewrites,
-                                 frontier=args.frontier, planner=service)
+                                 planner=service)
         if best is None:
             print(f"no swept cluster meets {args.target:.1f}s")
         else:

@@ -7,8 +7,10 @@ on every one of them:
 
 * **never worse**: the merged batch plan's predicted cost never exceeds
   the sum of independently optimized solo plans;
-* **frontier identity**: the ``array`` and ``object`` frontier tables
-  produce bit-identical merged plans (exact ``==``, no tolerance);
+* **frontier identity**: when the merged DAG is not tree shaped, the
+  per-state oracle of ``frontier_oracle.py`` plans it bit-identically
+  (exact ``==``, no tolerance); a tree-shaped merged DAG goes to the tree
+  DP;
 * **numerics**: executing a batch member's per-query plan — and
   splitting the merged plan's execution per query — is ``allclose`` to
   executing its solo plan.
@@ -28,9 +30,11 @@ from repro.core import ComputeGraph, OptimizerContext, matrix
 from repro.core.atoms import ADD, ELEM_MUL, MATMUL, RELU, SUB, TRANSPOSE
 from repro.core.batch import merge_graphs, optimize_batch
 from repro.core.formats import row_strips, single, tiles
-from repro.core.optimizer import optimize
+from repro.core.optimizer import context_for_graph, optimize
 from repro.engine.executor import execute_plan
 from repro.workloads import amazoncat_config, ffnn_forward, ffnn_full_step
+
+from frontier_oracle import assert_same_plan_and_counters, optimize_dag_object
 
 #: The brute-force differential suite's catalog, at the same dims.
 ORACLE_FORMATS = (single(), tiles(1000), row_strips(1000))
@@ -98,7 +102,7 @@ def _case_seed(batch: int, sub: int, inner: int, sharing: float,
 
 
 class TestBatchDifferential:
-    """200 random batches: never-worse cost and bit-identical frontiers."""
+    """200 random batches: never-worse cost and a bit-identical oracle."""
 
     @pytest.mark.parametrize("batch,nq,inner,sharing", BATCH_CASES)
     def test_never_worse_and_frontier_identity(self, batch, nq, inner,
@@ -109,25 +113,18 @@ class TestBatchDifferential:
             graphs = random_batch(seed, nq, inner, sharing)
             solo = [optimize(g, ctx) for g in graphs]
             solo_total = sum(p.total_seconds for p in solo)
-            ba = optimize_batch(graphs, ctx, frontier="array")
-            bo = optimize_batch(graphs, ctx, frontier="object")
+            ba = optimize_batch(graphs, ctx)
 
             # Never worse: sharing can only remove work.
             assert ba.merged.total_seconds <= solo_total * (1 + 1e-9), \
                 f"seed={seed}: batch plan worse than solo sum"
 
-            # Array vs object frontier: exact equality, not approx.
-            assert ba.merged.total_seconds == bo.merged.total_seconds
-            assert ba.merged.cost.vertex_formats == \
-                bo.merged.cost.vertex_formats
-            assert ba.merged.annotation.impls == bo.merged.annotation.impls
-            assert ba.merged.annotation.transforms == \
-                bo.merged.annotation.transforms
-            assert ba.cse_hits == bo.cse_hits
-            assert ba.shared_vertices == bo.shared_vertices
-            for qa, qo in zip(ba.queries, bo.queries):
-                assert qa.plan.total_seconds == qo.plan.total_seconds
-                assert qa.plan.annotation.impls == qo.plan.annotation.impls
+            # Merged DAG vs the per-state oracle: exact equality, not
+            # approx.  Tree-shaped merged DAGs go to the tree DP.
+            if not ba.graph.is_tree_shaped():
+                assert_same_plan_and_counters(
+                    ba.merged, optimize_dag_object(
+                        ba.graph, context_for_graph(ba.graph, ctx)))
 
             # Every per-query plan must be independently executable:
             # costing it proves impls/transforms cover the whole graph.
@@ -218,12 +215,18 @@ class TestBatchStructure:
         with pytest.raises(ValueError, match="disagree on source 'A'"):
             optimize_batch([g1, g2])
 
-    def test_bad_knobs_rejected_eagerly(self):
+    def test_bad_knobs_rejected_eagerly(self, monkeypatch):
+        """Before any member is rewritten."""
+        from repro.core import batch as batch_mod
+
+        def no_rewrite(*args, **kwargs):
+            raise AssertionError("rewrite ran before validation")
+
+        monkeypatch.setattr(batch_mod, "rewrite_stage", no_rewrite)
         graphs = random_batch(7, 2, inner=2, sharing=0.5)
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            optimize_batch(graphs, algorithm="fastest")
-        with pytest.raises(ValueError, match="unknown frontier"):
-            optimize_batch(graphs, frontier="arry")
+        for bad in (0, -1, -3, 2.5, True):
+            with pytest.raises(ValueError, match="max_states"):
+                optimize_batch(graphs, max_states=bad, rewrites="pipeline")
         with pytest.raises(ValueError, match="rewrites"):
             optimize_batch(graphs, rewrites="pipelin")
 

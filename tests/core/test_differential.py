@@ -3,21 +3,23 @@
 Generates seeded random DAGs — parameterized by vertex count, fan-in and
 sharing density — and checks that :func:`optimize_dag` agrees with
 brute-force enumeration on every one of them, with the dominance prune both
-on and off, and with the linear-time tree DP on tree-shaped graphs.  This
-is the harness the optimizer-perf CI job runs; the wide-DAG budget check at
-the bottom keeps the pruned search inside an absolute time budget on the
-worst-case shared-ancestor topology.
+on and off, with the linear-time tree DP on tree-shaped graphs, and bit for
+bit with the per-state oracle of ``frontier_oracle.py``.  This is the
+harness the optimizer-perf CI job runs; the perf-marked checks at the
+bottom keep the pruned search inside an absolute time budget on the
+worst-case shared-ancestor topology, and at least 2x the oracle's speed
+there.
 """
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from repro.cluster import simsql_cluster
-from repro.core import ComputeGraph, OptimizerContext, matrix
-from repro.core import frontier_array
+from repro.core import ComputeGraph, OptimizerContext, frontier, matrix
 from repro.core.atoms import (
     ADD,
     ELEM_MUL,
@@ -28,13 +30,7 @@ from repro.core.atoms import (
 )
 from repro.core.brute import optimize_brute
 from repro.core.formats import col_strips, row_strips, single, tiles
-from repro.core.frontier import (
-    FRONTIERS,
-    ORDERS,
-    FrontierStats,
-    _DominanceOracle,
-    optimize_dag,
-)
+from repro.core.frontier import optimize_dag
 from repro.core.tree_dp import optimize_tree
 from repro.workloads import (
     AttentionConfig,
@@ -55,6 +51,9 @@ from repro.workloads import (
     two_level_inverse_graph,
     wide_shared_dag,
 )
+
+from frontier_oracle import (_DominanceOracle, assert_same_plan_and_counters,
+                             optimize_dag_object)
 
 #: Three formats keep the brute-force oracle fast enough to run hundreds of
 #: differential cases while still exercising transformation choices.
@@ -163,19 +162,16 @@ class TestPruneIsLossless:
         """states_pruned == 0 must mean the search was bit-identical."""
         for seed in range(40):
             g = random_dag(seed + 900, inner=3, sharing=0.4)
-            pruned_stats, plain_stats = FrontierStats(), FrontierStats()
-            optimize_dag(g, oracle_ctx(), stats=pruned_stats, prune=True)
-            optimize_dag(g, oracle_ctx(), stats=plain_stats, prune=False)
-            if pruned_stats.states_pruned == 0:
-                assert pruned_stats.max_table_size == \
-                    plain_stats.max_table_size
-                assert pruned_stats.states_examined == \
-                    plain_stats.states_examined
+            pruned = optimize_dag(g, oracle_ctx(), prune=True).profile
+            plain = optimize_dag(g, oracle_ctx(), prune=False).profile
+            if pruned.states_pruned == 0:
+                assert pruned.peak_table_size == plain.peak_table_size
+                assert pruned.states_explored == plain.states_explored
                 return  # found and verified an un-pruned run
         pytest.skip("every seed triggered at least one prune")
 
 
-#: Reduced catalog that keeps the object-table oracle tractable on the
+#: Reduced catalog that keeps the per-state oracle tractable on the
 #: 45-vertex inverse graph (mirrors the pruning-invariant suite).
 FAMILY_CATALOG = (single(), tiles(1000), row_strips(1000), col_strips(1000))
 
@@ -207,33 +203,22 @@ GOLDENS = {
 
 
 def _assert_array_matches_object(graph, ctx, **kwargs):
-    """Run both frontier-table implementations; everything must be
-    bit-identical: the plan (exact ``==`` on cost, no tolerance), the
-    search-effort counters, and the attached profile."""
-    runs = {}
-    for frontier in ("array", "object"):
-        stats = FrontierStats()
-        plan = optimize_dag(graph, ctx, stats=stats, frontier=frontier,
-                            **kwargs)
-        runs[frontier] = (plan, stats)
-    (a_plan, a_stats), (o_plan, o_stats) = runs["array"], runs["object"]
-    assert a_plan.total_seconds == o_plan.total_seconds  # exact, not approx
-    assert a_plan.cost.vertex_formats == o_plan.cost.vertex_formats
-    assert a_plan.annotation.impls == o_plan.annotation.impls
-    assert a_plan.annotation.transforms == o_plan.annotation.transforms
-    for field in ("states_examined", "states_pruned", "states_beamed",
-                  "max_table_size", "max_class_size", "sweep_order"):
-        assert getattr(a_stats, field) == getattr(o_stats, field), field
-    pa, po = a_plan.profile, o_plan.profile
-    assert (pa.frontier, po.frontier) == ("array", "object")
-    assert (pa.states_explored, pa.states_pruned, pa.states_beamed,
-            pa.peak_table_size, pa.max_class_size, pa.sweep_order) == \
-           (po.states_explored, po.states_pruned, po.states_beamed,
-            po.peak_table_size, po.max_class_size, po.sweep_order)
+    """Run the array search and the per-state oracle; everything must be
+    bit-identical: the plan (exact ``==`` on cost, no tolerance) and the
+    search-effort counters of the attached profile."""
+    a_plan = optimize_dag(graph, ctx, **kwargs)
+    o_plan = optimize_dag_object(graph, ctx, **kwargs)
+    assert_same_plan_and_counters(a_plan, o_plan)
+
+
+#: ``wide_shared_dag`` on a four-format catalog: the width sweep of the
+#: ``ext_optimizer_scaling`` ablation, and the catalog of the perf gate
+#: below.
+WIDE_CATALOG = (single(), tiles(1000), tiles(2000), row_strips(1000))
 
 
 class TestArrayMatchesObject:
-    """``frontier="array"`` vs the per-state object oracle: bit-identical
+    """The array search vs the per-state object oracle: bit-identical
     plans and profile state counts, never merely close ones."""
 
     @pytest.mark.parametrize("batch,inner,fanin,sharing", DAG_CASES)
@@ -259,18 +244,21 @@ class TestArrayMatchesObject:
         graph = FAMILIES[name]()
         ctx = OptimizerContext(formats=FAMILY_CATALOG)
         for prune in (True, False):
-            for order in ORDERS:
-                _assert_array_matches_object(graph, ctx, prune=prune,
-                                             order=order)
+            _assert_array_matches_object(graph, ctx, prune=prune)
 
     @pytest.mark.parametrize("name", sorted(GOLDENS))
     def test_figure_goldens(self, name):
         graph = GOLDENS[name]()
         ctx = OptimizerContext(formats=FAMILY_CATALOG)
         for prune in (True, False):
-            for order in ORDERS:
-                _assert_array_matches_object(graph, ctx, prune=prune,
-                                             order=order)
+            _assert_array_matches_object(graph, ctx, prune=prune)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_wide_shared_dags(self, width):
+        """The ablation's widths 2 and 3, exact and pruned."""
+        _assert_array_matches_object(
+            wide_shared_dag(width, width),
+            OptimizerContext(formats=WIDE_CATALOG), prune=True)
 
 
 def full_catalog_ctx(charge_transforms: bool) -> OptimizerContext:
@@ -301,9 +289,7 @@ class TestFullCatalog:
         graph = FULL_CATALOG[name]()
         ctx = full_catalog_ctx(charge)
         for prune in (True, False):
-            for order in ORDERS:
-                _assert_array_matches_object(graph, ctx, prune=prune,
-                                             order=order)
+            _assert_array_matches_object(graph, ctx, prune=prune)
 
 
 #: (graph, beam) per workload whose pruned full-catalog sweep builds
@@ -322,20 +308,20 @@ DELTA_WORKLOADS = {
 
 class TestDeltaMatrices:
     """Every Δ-matrix the array sweep builds from cost vectors equals the
-    object path's scalar ``edge_delta`` oracle cell for cell."""
+    oracle's scalar ``edge_delta`` cell for cell."""
 
     @pytest.mark.parametrize("charge", [True, False])
     @pytest.mark.parametrize("name", sorted(DELTA_WORKLOADS))
     def test_match_edge_delta(self, monkeypatch, name, charge):
         built = {}
-        original = frontier_array._delta_matrix
+        original = frontier._delta_matrix
 
         def recording(ctx, cache, mtype, needs, fmts):
             got = original(ctx, cache, mtype, needs, fmts)
             built[(mtype, needs, fmts)] = got
             return got
 
-        monkeypatch.setattr(frontier_array, "_delta_matrix", recording)
+        monkeypatch.setattr(frontier, "_delta_matrix", recording)
         build_graph, beam = DELTA_WORKLOADS[name]
         graph = build_graph()
         ctx = full_catalog_ctx(charge)
@@ -354,17 +340,14 @@ class TestDeltaMatrices:
 
 
 class TestPhases:
-    """Both frontiers charge the whole sweep to named phases."""
+    """The search charges the whole sweep to named phases."""
 
-    @pytest.mark.parametrize("frontier", FRONTIERS)
-    def test_phase_keys(self, frontier):
+    def test_phase_keys(self):
         graph = dag1_graph(1)
         ctx = full_catalog_ctx(True)
-        exact = optimize_dag(graph, ctx, frontier=frontier, prune=True)
-        beamed = optimize_dag(graph, ctx, frontier=frontier, max_states=4)
-        keys = {"patterns", "order", "project", "reconstruct"}
-        if frontier == "array":
-            keys.add("materialize")
+        exact = optimize_dag(graph, ctx, prune=True)
+        beamed = optimize_dag(graph, ctx, max_states=4)
+        keys = {"patterns", "order", "project", "materialize", "reconstruct"}
         assert set(exact.profile.phase_seconds) == keys | {"prune"}
         assert set(beamed.profile.phase_seconds) == keys
 
@@ -376,11 +359,31 @@ def test_wide_dag_inside_budget():
     g = wide_shared_dag(5, 5)
     assert len(g) >= 40
     ctx = oracle_ctx()
-    stats = FrontierStats()
-    import time
     t0 = time.perf_counter()
-    plan = optimize_dag(g, ctx, stats=stats)
+    plan = optimize_dag(g, ctx)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"pruned wide-DAG search took {elapsed:.1f}s"
-    assert stats.states_pruned > 0
+    assert plan.profile.states_pruned > 0
     assert math.isfinite(plan.total_seconds)
+
+
+@pytest.mark.perf
+def test_width5_speedup_over_oracle():
+    """The array search must stay >= 2x the per-state oracle on the exact
+    pruned ``wide_shared_dag(5, 5)`` search at the four-format catalog
+    (both on a fresh context; 2x leaves headroom for noisy runners while
+    still catching a real regression)."""
+    graph = wide_shared_dag(5, 5)
+    walls = {}
+    plans = {}
+    for name, search in (("array", optimize_dag),
+                         ("oracle", optimize_dag_object)):
+        ctx = OptimizerContext(formats=WIDE_CATALOG)
+        t0 = time.perf_counter()
+        plans[name] = search(graph, ctx, prune=True)
+        walls[name] = time.perf_counter() - t0
+    assert_same_plan_and_counters(plans["array"], plans["oracle"])
+    speedup = walls["oracle"] / walls["array"]
+    assert speedup >= 2.0, (
+        f"array search regressed: array {walls['array']:.3f}s vs oracle "
+        f"{walls['oracle']:.3f}s ({speedup:.2f}x, gate is 2x)")

@@ -26,14 +26,17 @@ from repro.core.atoms import (
     TRANSPOSE,
 )
 from repro.core.brute import BruteForceTimeout, optimize_brute
+from repro.core.fingerprint import request_fingerprint
 from repro.core.formats import (
     col_strips,
     row_strips,
     single,
     tiles,
 )
-from repro.core.frontier import FrontierStats, optimize_dag
+from repro.core.frontier import optimize_dag
+from repro.core.optimizer import physical_plan
 from repro.core.tree_dp import OptimizationError, optimize_tree
+from repro.workloads import wide_shared_dag
 
 #: A small format catalog keeps brute force tractable in agreement tests.
 SMALL_FORMATS = (single(), tiles(1000), tiles(2000), row_strips(1000),
@@ -149,10 +152,9 @@ class TestFrontier:
 
     def test_stats_populated(self):
         g = _random_graph(3, depth=3)
-        stats = FrontierStats()
-        optimize_dag(g, small_ctx(), stats=stats)
-        assert stats.states_examined > 0
-        assert stats.max_class_size >= 1
+        profile = optimize_dag(g, small_ctx()).profile
+        assert profile.states_explored > 0
+        assert profile.max_class_size >= 1
 
     def test_multi_edge_vertex(self):
         """A vertex consuming the same producer twice (T1 x T1)."""
@@ -193,24 +195,39 @@ class TestFacade:
         g.add_op("S", ADD, (t, t))
         assert optimize(g, small_ctx()).optimizer == "frontier"
 
-    def test_unknown_algorithm_rejected(self):
-        g = _random_graph(2, depth=2)
-        with pytest.raises(ValueError):
-            optimize(g, small_ctx(), algorithm="quantum")
-
     def test_unknown_frontier_rejected(self):
+        """``physical_plan`` keeps a ``frontier`` keyword for callers that
+        name the array search; any other value fails."""
         g = _random_graph(2, depth=2)
+        ctx = small_ctx()
+        plan = physical_plan(g, g, None, ctx, frontier="array")
+        assert plan.total_seconds == optimize(g, ctx).total_seconds
         with pytest.raises(ValueError, match="unknown frontier"):
-            optimize(g, small_ctx(), frontier="bogus")
+            physical_plan(g, g, None, ctx, frontier="bogus")
         with pytest.raises(ValueError, match="unknown frontier"):
-            optimize_dag(g, small_ctx(), frontier="bogus")
+            physical_plan(g, g, None, ctx, frontier="object")
 
     def test_unknown_frontier_rejected_even_off_the_frontier_path(self):
-        """The knob is validated up front, not lazily: a tree-shaped graph
-        that would dispatch to the tree DP still rejects a bad value."""
+        """The keyword is validated up front, not lazily: a tree-shaped
+        graph that would dispatch to the tree DP still rejects a bad
+        value."""
         g = _random_graph(11, depth=3, tree_only=True)
         with pytest.raises(ValueError, match="unknown frontier"):
-            optimize(g, small_ctx(), frontier="quantum")
+            physical_plan(g, g, None, small_ctx(), frontier="quantum")
+
+    @pytest.mark.parametrize("bad", [0, -1, -3, 2.5, True, "5"])
+    def test_bad_max_states_rejected_eagerly(self, bad):
+        """A beam must be None or an integer >= 1: anything else is a
+        ValueError naming the knob, not an OptimizationError, IndexError
+        or TypeError from deep inside the search — from the frontier
+        search itself as much as from the entry points above it."""
+        g = wide_shared_dag(2, 2)
+        with pytest.raises(ValueError, match="max_states"):
+            optimize(g, small_ctx(), max_states=bad)
+        with pytest.raises(ValueError, match="max_states"):
+            optimize_dag(g, small_ctx(), max_states=bad)
+        with pytest.raises(ValueError, match="max_states"):
+            request_fingerprint(g, g, small_ctx(), max_states=bad)
 
     def test_rewrites_typos_rejected_eagerly(self):
         """A mistyped ``rewrites=`` must fail like the other knobs — a
@@ -225,17 +242,6 @@ class TestFacade:
                 optimize(g, small_ctx(), rewrites=bad)
         with pytest.raises(ValueError):  # unknown pass name in an iterable
             optimize(g, small_ctx(), rewrites=("no_such_pass",))
-
-    def test_frontier_knob_selects_implementation(self):
-        g = ComputeGraph()
-        a = g.add_source("A", matrix(100, 100), single())
-        t = g.add_op("T", TRANSPOSE, (a,))
-        g.add_op("S", ADD, (t, t))
-        arr = optimize(g, small_ctx(), frontier="array")
-        obj = optimize(g, small_ctx(), frontier="object")
-        assert arr.profile.frontier == "array"
-        assert obj.profile.frontier == "object"
-        assert arr.total_seconds == obj.total_seconds
 
     def test_source_formats_extend_catalog(self):
         """A source loaded in a non-catalog format can be consumed

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core import OptimizerContext
 from repro.core.formats import col_strips, row_strips, single, tiles
-from repro.core.frontier import FrontierStats, optimize_dag
+from repro.core.frontier import optimize_dag
+from repro.obs.tracer import Tracer
 from repro.workloads import (
     AttentionConfig,
     FFNNConfig,
@@ -65,9 +66,8 @@ def _ctx() -> OptimizerContext:
 def test_prune_is_lossless_on_workload(name):
     """Same total cost AND same per-vertex formats, pruned vs unpruned."""
     graph = WORKLOADS[name]()
-    pruned_stats, plain_stats = FrontierStats(), FrontierStats()
-    pruned = optimize_dag(graph, _ctx(), stats=pruned_stats, prune=True)
-    plain = optimize_dag(graph, _ctx(), stats=plain_stats, prune=False)
+    pruned = optimize_dag(graph, _ctx(), prune=True)
+    plain = optimize_dag(graph, _ctx(), prune=False)
 
     assert math.isclose(pruned.total_seconds, plain.total_seconds,
                         rel_tol=1e-9), f"{name}: pruned cost differs"
@@ -76,32 +76,25 @@ def test_prune_is_lossless_on_workload(name):
 
     # When nothing was pruned the searches must have been identical —
     # same table growth, same states examined.
-    if pruned_stats.states_pruned == 0:
-        assert pruned_stats.max_table_size == plain_stats.max_table_size
-        assert pruned_stats.states_examined == plain_stats.states_examined
-
-
-@pytest.mark.parametrize("order", ["class-size", "table-size"])
-def test_orders_agree_on_cost(order):
-    """Both sweep-order heuristics are exact: identical optimal cost."""
-    graph = wide_shared_dag(3, 3)
-    base = optimize_dag(graph, _ctx(), order="class-size")
-    other = optimize_dag(graph, _ctx(), order=order)
-    assert math.isclose(base.total_seconds, other.total_seconds,
-                        rel_tol=1e-9)
+    p_prof, u_prof = pruned.profile, plain.profile
+    if p_prof.states_pruned == 0:
+        assert p_prof.peak_table_size == u_prof.peak_table_size
+        assert p_prof.states_explored == u_prof.states_explored
 
 
 def test_profile_attached_and_consistent():
-    """Plans carry an OptimizerProfile whose counters match the stats."""
+    """Plans carry an OptimizerProfile whose counters match the ones the
+    sweep span reports."""
     graph = attention_graph(AttentionConfig())
-    stats = FrontierStats()
-    plan = optimize_dag(graph, _ctx(), stats=stats, prune=True)
+    tracer = Tracer()
+    plan = optimize_dag(graph, _ctx(), prune=True, tracer=tracer)
+    sweep = next(s for s in tracer.spans() if s.name == "sweep").attrs
     prof = plan.profile
     assert prof is not None and prof.algorithm == "frontier"
-    assert prof.states_explored == stats.states_examined
-    assert prof.states_pruned == stats.states_pruned
-    assert prof.peak_table_size == stats.max_table_size
-    assert tuple(stats.sweep_order) == prof.sweep_order
+    assert prof.states_explored == sweep["states_examined"]
+    assert prof.states_pruned == sweep["states_pruned"]
+    assert prof.peak_table_size == sweep["max_table_size"]
+    assert len(prof.sweep_order) == sweep["steps"]
     assert set(prof.sweep_order) == \
         {v.vid for v in graph.inner_vertices}
     assert "project" in prof.phase_seconds

@@ -83,8 +83,7 @@ class TestServiceBatch:
         svc = PlannerService()
         graphs = _pair()
         svc.optimize_batch(graphs, max_states=MAX_STATES)
-        svc.optimize_batch(graphs, max_states=MAX_STATES,
-                           frontier="object")
+        svc.optimize_batch(graphs, max_states=MAX_STATES + 1)
         assert svc.stats()["batch"] == {"requests": 2, "hits": 0,
                                         "misses": 2}
 
@@ -92,8 +91,8 @@ class TestServiceBatch:
         svc = PlannerService()
         with pytest.raises(ValueError, match="at least one"):
             svc.optimize_batch([])
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            svc.optimize_batch(_pair(), algorithm="warp")
+        with pytest.raises(ValueError, match="max_states"):
+            svc.optimize_batch(_pair(), max_states=-1)
         with pytest.raises(ValueError, match="unknown frontier"):
             svc.optimize_batch(_pair(), frontier="arry")
         with pytest.raises(ValueError, match="rewrites"):

@@ -209,17 +209,38 @@ def test_source_format_is_structural():
 
 
 @pytest.mark.parametrize("knobs", [
-    {"algorithm": "frontier"},
     {"max_states": 100},
+    {"max_states": 1},
     {"rewrites": "all"},
     {"rewrites": "egraph"},
-    {"prune": False},
-    {"order": "table-size"},
-    {"timeout_seconds": 5.0},
+    {"rewrites": ("cse",)},
+    {"max_states": 100, "rewrites": "all"},
+    {"max_states": 100, "rewrites": "egraph"},
 ])
 def test_search_knobs_change_key(knobs):
     g = wide_shared_dag(3, 3)
     assert _fp(g, **knobs).structural != _fp(g).structural
+
+
+def test_key_holds_only_the_answer_changing_knobs(monkeypatch):
+    """The knob payload is exactly ``max_states`` and ``rewrites``; the
+    ``frontier`` compatibility keyword accepts only ``"array"`` and never
+    enters the key."""
+    from repro.core import fingerprint as fpmod
+
+    payloads = []
+    real = fpmod._digest
+
+    def recording(payload):
+        payloads.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(fpmod, "_digest", recording)
+    g = wide_shared_dag(3, 3)
+    assert _fp(g, frontier="array").key == _fp(g).key
+    assert set(payloads[-1]["knobs"]) == {"max_states", "rewrites"}
+    with pytest.raises(ValueError, match="unknown frontier"):
+        _fp(g, frontier="object")
 
 
 # ----------------------------------------------------------------------

@@ -288,27 +288,25 @@ def test_eviction_counter_reaches_metrics():
     assert service.cache.stats()["plans"] <= 2
 
 
-def test_unknown_algorithm_rejected_before_caching():
-    service = PlannerService()
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        service.optimize(wide_shared_dag(2, 2), algorithm="magic")
+@pytest.mark.parametrize("bad", [0, -1, -3, 2.5, True])
+def test_bad_max_states_rejected_before_caching(bad):
+    """Rejected with a ValueError naming the knob before the fingerprint,
+    the rewrite or the search runs: nothing is counted or cached."""
+    service = PlannerService(metrics=MetricsRegistry())
+    with pytest.raises(ValueError, match="max_states"):
+        service.optimize(wide_shared_dag(2, 2), max_states=bad)
+    with pytest.raises(ValueError, match="max_states"):
+        service.optimize_batch([wide_shared_dag(2, 2)], max_states=bad)
     assert len(service.cache) == 0
+    assert service.stats()["requests"] == 0
+    assert service.stats()["batch"]["requests"] == 0
+    assert "planner.requests" not in service.metrics.counters
 
 
 def test_unknown_frontier_rejected_before_caching():
     service = PlannerService()
-    with pytest.raises(ValueError, match="unknown frontier"):
-        service.optimize(wide_shared_dag(2, 2), frontier="bogus")
+    for bad in ("bogus", "object"):
+        with pytest.raises(ValueError, match="unknown frontier"):
+            service.optimize(wide_shared_dag(2, 2), frontier=bad)
     assert len(service.cache) == 0
 
-
-def test_frontier_knob_is_part_of_the_cache_key():
-    """Array- and object-planned requests are distinct cache entries (the
-    plans are bit-identical, but fingerprints must not conflate knobs)."""
-    service = PlannerService(OptimizerContext(formats=(single(),
-                                                       tiles(1000))))
-    arr = service.optimize(wide_shared_dag(2, 2), frontier="array")
-    obj = service.optimize(wide_shared_dag(2, 2), frontier="object")
-    assert not obj.profile.cache_hit
-    assert len(service.cache) == 2
-    assert arr.total_seconds == obj.total_seconds

@@ -172,5 +172,5 @@ def test_follower_error_counts_no_hit():
     service = PlannerService(OptimizerContext(), metrics=MetricsRegistry())
     graph = wide_shared_dag(2, 2)
     with pytest.raises(ValueError):
-        service.optimize(graph, algorithm="quantum")
+        service.optimize(graph, max_states=0)
     assert "planner.requests" not in service.metrics.counters

@@ -108,6 +108,16 @@ class TestRewritesKnob:
         assert rewritten[0].plan.pipeline is not None
 
 
+class TestBadKnobs:
+    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    def test_sweep_rejects_bad_max_states_up_front(self, ffnn_graph, bad):
+        """Before the loop, so the error is not swallowed into a sweep of
+        infeasible points."""
+        with pytest.raises(ValueError, match="max_states"):
+            sweep_workers(ffnn_graph, simsql_cluster, (2, 5),
+                          max_states=bad)
+
+
 class TestCli:
     def test_sweep_output(self, capsys):
         from repro.tools.whatif import main
@@ -138,6 +148,16 @@ class TestCli:
         assert "rewrites=egraph" in out
         assert "saturation:" in out
         assert "iterations" in out
+
+    def test_negative_max_states_rejected(self, capsys):
+        """A negative beam is a usage error, not a sweep of infeasible
+        points."""
+        from repro.tools.whatif import main
+
+        with pytest.raises(SystemExit):
+            main(["--workload", "attention", "--workers", "2",
+                  "--max-states", "-1"])
+        assert "--max-states" in capsys.readouterr().err
 
     def test_rewrites_flag_conflict(self, capsys):
         from repro.tools.whatif import main
