@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .annotation import Annotation, Plan, make_plan
@@ -98,7 +99,7 @@ class BatchPlan:
         """Predicted cost of executing the whole batch (shared once)."""
         return self.merged.total_seconds
 
-    def query_outputs(self, index: int, vertex_values: dict) -> dict:
+    def query_outputs(self, index: int, vertex_values: Mapping) -> dict:
         """Split a merged execution's per-vertex values for one query.
 
         ``vertex_values`` is the ``vertex_values`` mapping of an

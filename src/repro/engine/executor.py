@@ -21,6 +21,7 @@ Both entry points drive the same lowered stage IR
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ from .recovery import (
 )
 from .scheduler import ExecutionState, Scheduler, resolve_scheduler
 from .stages import lower
-from .storage import assemble
+from .storage import StoredMatrix, assemble
 
 
 # ======================================================================
@@ -121,6 +122,36 @@ def simulate(plan: Plan, ctx: OptimizerContext,
 # ======================================================================
 # Real execution
 # ======================================================================
+class VertexValues(Mapping):
+    """Read-only vertex -> dense array view of one run's stored matrices.
+
+    Holds a shallow snapshot of the run's lineage, so a later run of the
+    same :class:`Executor` cannot change it, and assembles a vertex's
+    blocks into a dense array the first time it is read, keeping the
+    result.  A run thus builds dense arrays only for what its caller
+    reads.
+    """
+
+    def __init__(self, stored: Mapping[VertexId, StoredMatrix]) -> None:
+        self._stored = dict(stored)
+        self._dense: dict[VertexId, np.ndarray] = {}
+
+    def __getitem__(self, vid: VertexId) -> np.ndarray:
+        dense = self._dense.get(vid)
+        if dense is None:
+            dense = self._dense.setdefault(vid, assemble(self._stored[vid]))
+        return dense
+
+    def __contains__(self, vid) -> bool:
+        return vid in self._stored
+
+    def __iter__(self) -> Iterator[VertexId]:
+        return iter(self._stored)
+
+    def __len__(self) -> int:
+        return len(self._stored)
+
+
 @dataclass
 class ExecutionResult:
     """Outcome of executing a plan on real data.
@@ -132,10 +163,16 @@ class ExecutionResult:
     ``executed_stages`` lists the lowered stages that ran, in stage order;
     ``drift`` joins every executed stage's predicted seconds against the
     seconds it actually charged (see :mod:`repro.obs.drift`).
+
+    ``outputs`` maps each graph output's name to a dense array.
+    ``vertex_values`` covers every vertex the run holds, sources and
+    intermediates included, as a read-only ``Mapping``
+    (:class:`VertexValues`) that assembles a vertex's blocks only when it
+    is first read.
     """
 
     outputs: dict[str, np.ndarray]
-    vertex_values: dict[VertexId, np.ndarray]
+    vertex_values: Mapping[VertexId, np.ndarray]
     ledger: TrafficLedger
     ok: bool = True
     failure: str | None = None
@@ -267,8 +304,7 @@ class Executor:
 
         if self.store is not None:
             harvest_state(state, self.store, self.ledger)
-        stored = self.lineage.matrices
-        vertex_values = {vid: assemble(s) for vid, s in stored.items()}
+        vertex_values = VertexValues(self.lineage.matrices)
         outputs = {graph.vertex(v.vid).name: vertex_values[v.vid]
                    for v in graph.outputs}
         return ExecutionResult(outputs, vertex_values, self.ledger,

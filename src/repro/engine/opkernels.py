@@ -16,7 +16,7 @@ from ..core.formats import Layout, PhysicalFormat
 from ..core.implementations import JoinStrategy
 from . import kernels
 from .relation import RelationalEngine
-from .storage import StoredMatrix, _block_bounds, assemble, convert, split, \
+from .storage import StoredMatrix, assemble, convert, grid_bounds, split, \
     store_as
 
 _JOIN_STRATEGY = {
@@ -74,9 +74,11 @@ def _matmul(engine, v, impl, args, out_fmt) -> StoredMatrix:
         strategy=strategy,
         flops_fn=kernels.matmul_flops,
         stage=f"{v.name}:{impl.name}")
+    # Every partial product is a fresh array of this attempt, so the sums
+    # accumulate in place.
     summed = engine.group_agg(
         partials, group_fn=lambda k: (k[0], k[1]),
-        agg_fn=lambda a, b: a + b, stage=f"{v.name}:agg")
+        agg_fn=kernels.accumulate, stage=f"{v.name}:agg")
     return store_as(summed, v.mtype, out_fmt, engine.cluster)
 
 
@@ -152,10 +154,7 @@ def _direct(engine, v, impl, args, out_fmt) -> StoredMatrix:
 # -- bias add ----------------------------------------------------------
 def _add_bias(engine, v, impl, args, out_fmt) -> StoredMatrix:
     x, bias = args
-    bounds = _block_bounds(
-        x.mtype.cols,
-        x.fmt.block_cols if (x.fmt.is_col_partitioned or x.fmt.is_tiled)
-        else None)
+    bounds = grid_bounds(x.mtype, x.fmt)[1]
     bias_row = assemble(bias).reshape(1, -1)
     if impl.join is JoinStrategy.BROADCAST:
         engine.broadcast(bias.relation, stage=f"{v.name}:bcast-bias")
@@ -171,7 +170,8 @@ def _add_bias(engine, v, impl, args, out_fmt) -> StoredMatrix:
 def _fused(engine, v, impl, args, out_fmt) -> StoredMatrix:
     """One stage for a whole fused chain: the base operation's kernel
     followed by the unary epilogue, applied per payload — no intermediate
-    matrices are materialized."""
+    matrices are materialized, and the epilogue overwrites the base
+    kernel's fresh result instead of allocating one array per step."""
     steps = impl.steps
     base, epilogue = steps[0], steps[1:]
     flops_per_entry = float(len(steps))
@@ -184,7 +184,8 @@ def _fused(engine, v, impl, args, out_fmt) -> StoredMatrix:
             lhs.relation, rhs.relation,
             left_key=lambda k: k, right_key=lambda k: k,
             combine=lambda lk, lp, rk, rp: (
-                lk, kernels.apply_epilogue(kernel(lp, rp), epilogue)),
+                lk, kernels.apply_epilogue(kernel(lp, rp), epilogue,
+                                           owned=True)),
             strategy="copart",
             flops_fn=lambda a, b: flops_per_entry * float(
                 np.prod(a.shape)),
@@ -193,10 +194,7 @@ def _fused(engine, v, impl, args, out_fmt) -> StoredMatrix:
 
     if base.op_name == "add_bias":
         x, bias = args
-        bounds = _block_bounds(
-            x.mtype.cols,
-            x.fmt.block_cols
-            if (x.fmt.is_col_partitioned or x.fmt.is_tiled) else None)
+        bounds = grid_bounds(x.mtype, x.fmt)[1]
         bias_row = assemble(bias).reshape(1, -1)
         if impl.join is JoinStrategy.BROADCAST:
             engine.broadcast(bias.relation,
@@ -206,7 +204,7 @@ def _fused(engine, v, impl, args, out_fmt) -> StoredMatrix:
             lambda key, p: (key, kernels.apply_epilogue(
                 kernels.add_bias(
                     p, bias_row[:, bounds[key[1]][0]:bounds[key[1]][1]]),
-                epilogue)),
+                epilogue, owned=True)),
             flops=flops_per_entry * x.mtype.entries, stage=stage)
         return store_as(rel, v.mtype, out_fmt, engine.cluster)
 

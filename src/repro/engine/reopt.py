@@ -34,7 +34,7 @@ from .ledger import TrafficLedger
 from .recovery import DEFAULT_RECOVERY
 from .scheduler import ExecutionState
 from .stages import OpStage, lower
-from .storage import StoredMatrix, assemble, split
+from .storage import StoredMatrix, assemble, split, stored_sparsity
 
 
 @dataclass
@@ -169,8 +169,8 @@ def execute_adaptive(
                         stage.vertex in state.lineage.matrices:
                     sparsity_of.setdefault(
                         stage.vertex,
-                        observed_sparsity(
-                            assemble(state.lineage.matrices[stage.vertex])))
+                        stored_sparsity(
+                            state.lineage.matrices[stage.vertex]))
                 continue
             state.run_stage(stage)
             if not isinstance(stage, OpStage):
@@ -178,7 +178,7 @@ def execute_adaptive(
             vid = stage.vertex
             v = current.vertex(vid)
             stored = state.lineage.matrices
-            actual = observed_sparsity(assemble(stored[vid]))
+            actual = stored_sparsity(stored[vid])
             sparsity_of[vid] = actual
             estimated = v.mtype.sparsity
             remaining = sum(1 for w in current.vertex_ids

@@ -14,14 +14,19 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..cluster import ClusterConfig
-from ..core.annotation import Plan
+from ..core.annotation import AnnotationError, Plan
 from ..core.formats import DEFAULT_FORMATS, Layout, PhysicalFormat
 from ..core.graph import ComputeGraph
 from ..core.optimizer import validate_knobs
 from ..core.registry import OptimizerContext
+from ..core.tree_dp import OptimizationError
 from ..service.planner import PlannerService
 
 ProfileFn = Callable[[int], ClusterConfig]
+
+#: The errors that mean "no plan fits this cluster or catalog": such a
+#: point reads as infeasible.  Anything else is a defect and propagates.
+INFEASIBLE = (OptimizationError, AnnotationError)
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,8 @@ def sweep_workers(
     service is created.  With a ``tracer``, each point records a
     ``sweep-point`` span with the nested ``optimize`` span tree inside it.
     Bad knobs raise ``ValueError`` before the first point, rather than
-    reading as infeasible points.
+    reading as infeasible points; only the errors in :data:`INFEASIBLE`
+    make a point infeasible, any other error propagates.
     """
     from ..obs.tracer import as_tracer
 
@@ -73,7 +79,7 @@ def sweep_workers(
                 plan = planner.optimize(graph, ctx, max_states=max_states,
                                         rewrites=rewrites)
                 seconds = plan.total_seconds
-            except Exception:
+            except INFEASIBLE:
                 plan = None
                 seconds = math.inf
             span.set(seconds=seconds, feasible=math.isfinite(seconds))
@@ -147,7 +153,7 @@ def format_family_contributions(
                                     rewrites=rewrites)
             seconds = plan.total_seconds
             slowdown = seconds / base.total_seconds
-        except Exception:
+        except INFEASIBLE:
             seconds = math.inf
             slowdown = math.inf
         contributions.append(FormatContribution(
@@ -204,7 +210,7 @@ def chaos_preview(
                 seconds.append(planner.optimize(
                     graph, ctx, max_states=max_states,
                     rewrites=rewrites).total_seconds)
-            except Exception:
+            except INFEASIBLE:
                 seconds.append(math.inf)
         points.append(ChaosPreviewPoint(count, seconds[0], seconds[1]))
     return points

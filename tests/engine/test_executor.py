@@ -2,6 +2,8 @@
 numerically identical to a dense numpy reference, under both optimized and
 baseline-planned annotations."""
 
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,79 @@ class TestPipelines:
         from repro.engine import execute_plan as run
         with pytest.raises(KeyError):
             run(plan, {}, CTX)
+
+
+class TestLazyVertexValues:
+    """``vertex_values`` is a read-only mapping that assembles a vertex on
+    first read, over a snapshot of the run's lineage."""
+
+    @staticmethod
+    def _graph():
+        g = ComputeGraph()
+        a = g.add_source("A", matrix(40, 30), row_strips(10))
+        b = g.add_source("B", matrix(30, 20), col_strips(5))
+        ab = g.add_op("AB", MATMUL, (a, b))
+        g.add_op("out", RELU, (g.add_op("T", TRANSPOSE, (ab,)),))
+        return g
+
+    def test_every_entry_equals_the_eager_assembly(self):
+        from storage_oracle import assemble as eager_assemble
+
+        from repro.engine import Executor
+
+        g = self._graph()
+        executor = Executor(optimize(g, CTX), CTX)
+        result = executor.run({"A": RNG.standard_normal((40, 30)),
+                               "B": RNG.standard_normal((30, 20))})
+        values = result.vertex_values
+        assert isinstance(values, Mapping) and not isinstance(values, dict)
+        assert len(values) == len(g.vertex_ids)
+        assert set(values) == set(g.vertex_ids)
+        for vid in g.vertex_ids:
+            assert vid in values
+            want = eager_assemble(executor.lineage.matrices[vid])
+            assert values[vid].tobytes() == want.tobytes()
+            assert values[vid] is values[vid]
+        out = g.outputs[0]
+        assert result.outputs[out.name] is values[out.vid]
+        assert -1 not in values
+        with pytest.raises(KeyError):
+            values[-1]
+        with pytest.raises(TypeError):
+            values[out.vid] = None
+
+    def test_later_run_leaves_an_earlier_result_unchanged(self):
+        from repro.engine import Executor
+
+        g = self._graph()
+        executor = Executor(optimize(g, CTX), CTX)
+        x1, y1 = RNG.standard_normal((40, 30)), RNG.standard_normal((30, 20))
+        first = executor.run({"A": x1, "B": y1})
+        executor.run({"A": RNG.standard_normal((40, 30)),
+                      "B": RNG.standard_normal((30, 20))})
+        # Read only now: the first result must still see its own run.
+        by_name = {g.vertex(vid).name: value
+                   for vid, value in first.vertex_values.items()}
+        assert np.array_equal(by_name["A"], x1)
+        assert np.allclose(by_name["AB"], x1 @ y1)
+        assert np.allclose(by_name["out"], np.maximum((x1 @ y1).T, 0))
+
+    def test_batch_query_outputs_reads_the_mapping(self):
+        from repro.core.batch import optimize_batch
+
+        graphs = []
+        for scale in (1.0, 2.0):
+            g = ComputeGraph()
+            a = g.add_source("A", matrix(20, 20), single())
+            g.add_op(f"q{scale:g}", SCALAR_MUL,
+                     (g.add_op("sq", MATMUL, (a, a)),), param=scale)
+            graphs.append(g)
+        batch = optimize_batch(graphs, CTX)
+        x = RNG.standard_normal((20, 20))
+        merged = execute_plan(batch.merged, {"A": x}, CTX)
+        for qi, scale in enumerate((1.0, 2.0)):
+            (value,) = batch.query_outputs(qi, merged.vertex_values).values()
+            assert np.allclose(value, scale * (x @ x))
 
 
 class TestBaselinePlansExecuteCorrectly:

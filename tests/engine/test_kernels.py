@@ -138,3 +138,66 @@ class TestSparseKernels:
         s, dense = self._sparse()
         assert np.allclose(kernels.to_dense(s), dense)
         assert kernels.to_dense(dense) is not None
+
+
+class TestInPlaceWrites:
+    """Writing into a block the caller owns rounds exactly like allocating
+    a fresh one, and nothing writes into a block it was only handed."""
+
+    @staticmethod
+    def _reference_epilogue(block, steps):
+        # The fresh-array forms the in-place kernels replaced.
+        for step in steps:
+            if step.op_name == "scalar_mul":
+                block = block * step.param
+            elif step.op_name == "relu":
+                block = np.maximum(block, 0.0)
+            elif step.op_name == "relu_grad":
+                block = (block > 0).astype(np.float64)
+            elif step.op_name == "sigmoid":
+                block = 1.0 / (1.0 + np.exp(-block))
+            else:
+                block = np.exp(block)
+        return block
+
+    @given(small_arrays, st.lists(st.sampled_from(
+        ["relu", "relu_grad", "sigmoid", "exp", "scalar_mul"]),
+        min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_epilogue_bit_identical_and_inputs_untouched(self, a, names):
+        from repro.core.atoms import FusedStep
+
+        steps = [FusedStep(n, -0.7 if n == "scalar_mul" else None)
+                 for n in names]
+        before = a.copy()
+        owned = a.copy()
+        with np.errstate(over="ignore"):   # exp of exp overflows to inf
+            want = self._reference_epilogue(a, steps)
+            handed = kernels.apply_epilogue(a, steps)
+            result = kernels.apply_epilogue(owned, steps, owned=True)
+        assert a.tobytes() == before.tobytes()
+        assert result is owned
+        assert handed.tobytes() == want.tobytes()
+        assert result.tobytes() == want.tobytes()
+
+    @given(small_arrays, small_arrays, small_arrays)
+    @settings(max_examples=25, deadline=None)
+    def test_accumulate_matches_fresh_sums(self, a, b, c):
+        total = kernels.accumulate(kernels.accumulate(a.copy(), b), c)
+        assert total.tobytes() == ((a + b) + c).tobytes()
+
+    def test_accumulate_leaves_non_dense_parts_alone(self):
+        a = RNG.standard_normal((4, 4))
+        s = sp.csr_matrix(np.eye(4))
+        assert np.array_equal(kernels.accumulate(a.copy(), s), a + s)
+        before = a.copy()
+        kernels.accumulate(s, a)
+        assert np.array_equal(a, before)
+
+    def test_softmax_leaves_its_input_alone(self):
+        a = RNG.standard_normal((6, 5))
+        before = a.copy()
+        out = kernels.softmax_rows(a)
+        assert np.array_equal(a, before)
+        e = np.exp(a - a.max(axis=1, keepdims=True))
+        assert out.tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()

@@ -4,13 +4,15 @@ import math
 
 import pytest
 
-from repro.cluster import simsql_cluster
+from repro.cluster import ClusterConfig, simsql_cluster
+from repro.service import PlannerService
 from repro.tools import (
     format_family_contributions,
     recommend_workers,
     render_sweep,
     sweep_workers,
 )
+from repro.tools.whatif import chaos_preview
 from repro.workloads.ffnn import FFNNConfig, ffnn_backprop_to_w2
 from repro.workloads.mlalgs import linear_regression
 
@@ -116,6 +118,62 @@ class TestBadKnobs:
         with pytest.raises(ValueError, match="max_states"):
             sweep_workers(ffnn_graph, simsql_cluster, (2, 5),
                           max_states=bad)
+
+
+def _tiny_ram(num_workers: int) -> ClusterConfig:
+    """A cluster on which no plan of ``ffnn_graph`` fits in worker RAM."""
+    return ClusterConfig(num_workers=num_workers, ram_bytes=1e6)
+
+
+class TestInfeasibleVersusDefect:
+    """Only "no plan fits" reads as an infeasible point; a defect in the
+    search propagates instead of reading as a cluster that cannot run the
+    workload."""
+
+    def test_infeasible_size_reads_fail(self, ffnn_graph):
+        points = sweep_workers(ffnn_graph, _tiny_ram, (2,), max_states=300,
+                               planner=PlannerService())
+        assert not points[0].feasible and math.isinf(points[0].seconds)
+        assert "Fail" in render_sweep(points)
+        (preview,) = chaos_preview(ffnn_graph, _tiny_ram, (3,),
+                                   max_states=300, planner=PlannerService())
+        assert math.isinf(preview.healthy_seconds)
+        assert math.isinf(preview.penalty)
+
+    @pytest.fixture
+    def broken_search(self, monkeypatch):
+        """Make every search after the first raise a ``KeyError``."""
+        import repro.core.optimizer as optimizer
+
+        real = optimizer._optimize_physical
+        calls = []
+
+        def search(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise KeyError("injected defect")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "_optimize_physical", search)
+
+    def test_defect_propagates_from_sweep(self, ffnn_graph, broken_search):
+        with pytest.raises(KeyError, match="injected"):
+            sweep_workers(ffnn_graph, simsql_cluster, (2, 5),
+                          max_states=300, planner=PlannerService())
+
+    def test_defect_propagates_from_family_contributions(self,
+                                                         broken_search):
+        workload = linear_regression(100_000, 2000)
+        with pytest.raises(KeyError, match="injected"):
+            format_family_contributions(
+                workload.graph, simsql_cluster(10), max_states=300,
+                planner=PlannerService())
+
+    def test_defect_propagates_from_chaos_preview(self, ffnn_graph,
+                                                  broken_search):
+        with pytest.raises(KeyError, match="injected"):
+            chaos_preview(ffnn_graph, simsql_cluster, (5,), max_states=300,
+                          planner=PlannerService())
 
 
 class TestCli:
