@@ -63,13 +63,15 @@ def context_for_graph(graph: ComputeGraph, ctx: OptimizerContext
     Input matrices may arrive in formats outside the search catalog (e.g.
     width-10 strips in the Section 2.1 example).  Adding them lets the
     search use implementations on the loaded formats directly instead of
-    forcing a transformation first.
+    forcing a transformation first.  The extended context is derived
+    (:meth:`~repro.core.registry.OptimizerContext.derive`), so every graph
+    with the same extra formats plans on the same warm child of ``ctx``.
     """
     extra = [s.format for s in graph.sources if s.format not in ctx.formats]
     if not extra:
         return ctx
     seen = dict.fromkeys(tuple(ctx.formats) + tuple(extra))
-    return dataclasses.replace(ctx, formats=tuple(seen))
+    return ctx.derive(formats=tuple(seen))
 
 
 def optimize(graph: ComputeGraph, ctx: OptimizerContext | None = None, *,

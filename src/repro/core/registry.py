@@ -13,10 +13,16 @@ lookup, which is what makes the dynamic programs fast: each
 implementation's pattern enumeration runs once per ``(op, input types)``
 and feeds every menu, and each ``(type, source, target)`` transformation
 is costed once however many batched cost vectors it appears in.
+
+A context that differs only by a few fields — extra load formats, banned
+implementations, tightened RAM, fewer workers — comes from
+:meth:`OptimizerContext.derive`, which builds each such child once and keeps
+it on its parent, so re-planning under one parent reuses warm memo tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -66,6 +72,35 @@ class OptimizerContext:
         self._transform_pair_cache: dict = {}
         self._pattern_cache: dict = {}
         self._impls_by_op: dict[AtomicOp, tuple[OpImplementation, ...]] = {}
+        self._children: dict[tuple, OptimizerContext] = {}
+
+    # ------------------------------------------------------------------
+    def derive(self, **changes) -> OptimizerContext:
+        """This context with some fields changed, built once per change set.
+
+        Returns ``self`` when every given field already equals its current
+        value.  Otherwise returns the child for the fields that differ: it
+        is built once with :func:`dataclasses.replace`, so it starts with
+        memo tables of its own, and kept on this context with
+        ``setdefault``, so every caller — concurrent ones included — gets
+        the same object and re-plans under this parent reuse its warm
+        menus and transform costs.  Every memo entry is a pure function of
+        the context's fields, so a warm child plans exactly like a cold
+        copy.
+
+        Children live exactly as long as their parent: a long-lived
+        parent, such as a service's base context, keeps one child per
+        distinct change set it has seen.
+        """
+        key = tuple(sorted((name, value) for name, value in changes.items()
+                           if getattr(self, name) != value))
+        if not key:
+            return self
+        child = self._children.get(key)
+        if child is None:
+            child = self._children.setdefault(
+                key, dataclasses.replace(self, **dict(key)))
+        return child
 
     # ------------------------------------------------------------------
     def impls_for(self, op: AtomicOp) -> tuple[OpImplementation, ...]:

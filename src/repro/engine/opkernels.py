@@ -97,14 +97,23 @@ def _elementwise(engine, v, impl, args, out_fmt) -> StoredMatrix:
 
 
 # -- unary maps --------------------------------------------------------
+def _payload_map(fmt: PhysicalFormat, kernel):
+    """The ``map_rows`` function applying ``kernel`` to every payload; a
+    COO chunk holds (row, col, value) triples, so there it maps only the
+    value column."""
+    if fmt.layout is Layout.COO:
+        return lambda key, p: (key, np.column_stack([p[:, :2],
+                                                     kernel(p[:, 2])]))
+    return lambda key, p: (key, kernel(p))
+
+
 def _unary_map(engine, v, impl, arg: StoredMatrix, out_fmt) -> StoredMatrix:
     if v.op.name == "scalar_mul":
         scalar = v.param if v.param is not None else 1.0
-        fn = lambda key, p: (key, kernels.scalar_mul(p, scalar))
+        kernel = lambda p: kernels.scalar_mul(p, scalar)
     else:
         kernel = kernels.UNARY_KERNELS[v.op.name]
-        fn = lambda key, p: (key, kernel(p))
-    rel = engine.map_rows(arg.relation, fn,
+    rel = engine.map_rows(arg.relation, _payload_map(arg.fmt, kernel),
                           flops=float(arg.mtype.entries),
                           stage=f"{v.name}:{impl.name}")
     return store_as(rel, v.mtype, out_fmt, engine.cluster)
@@ -120,9 +129,14 @@ def _rowwise_map(engine, v, arg: StoredMatrix, out_fmt,
 
 # -- transpose ---------------------------------------------------------
 def _transpose(engine, v, arg: StoredMatrix, out_fmt) -> StoredMatrix:
+    if arg.fmt.layout is Layout.COO:
+        # A COO chunk is a list of (row, col, value) triples, not a block:
+        # swap each triple's row and column and keep the chunk's key.
+        fn = lambda key, p: (key, p[:, [1, 0, 2]])
+    else:
+        fn = lambda key, p: ((key[1], key[0]), kernels.transpose(p))
     rel = engine.map_rows(
-        arg.relation,
-        lambda key, p: ((key[1], key[0]), kernels.transpose(p)),
+        arg.relation, fn,
         flops=float(arg.mtype.entries), stage=f"{v.name}:transpose")
     rel = engine.repartition(rel, lambda k: k,
                              stage=f"{v.name}:t-shuffle")
@@ -212,6 +226,6 @@ def _fused(engine, v, impl, args, out_fmt) -> StoredMatrix:
     arg = args[0]
     rel = engine.map_rows(
         arg.relation,
-        lambda key, p: (key, kernels.apply_epilogue(p, steps)),
+        _payload_map(arg.fmt, lambda p: kernels.apply_epilogue(p, steps)),
         flops=flops_per_entry * arg.mtype.entries, stage=stage)
     return store_as(rel, v.mtype, out_fmt, engine.cluster)

@@ -36,9 +36,10 @@ from typing import Any
 
 import numpy as np
 
-from ..core.annotation import Plan
+from ..core.annotation import AnnotationError, Plan
 from ..core.graph import ComputeGraph, VertexId
 from ..core.registry import OptimizerContext
+from ..core.tree_dp import OptimizationError
 from .faults import FaultSource, InjectedFault, WorkerCrash
 from .ledger import EngineFailure, TrafficLedger
 
@@ -297,6 +298,12 @@ def plan_context(ctx: OptimizerContext, banned: frozenset[str] | set[str] = (),
     membership) via the validated
     :meth:`~repro.cluster.ClusterConfig.with_workers`.  Execution still
     runs against the real cluster.
+
+    The result is derived from ``ctx``
+    (:meth:`~repro.core.registry.OptimizerContext.derive`): with nothing
+    to change it is ``ctx`` itself, and each distinct change is built once
+    per ``ctx``, so repeated fallbacks and crash re-plans search on warm
+    memo tables.
     """
     impls = tuple(i for i in ctx.implementations if i.name not in banned)
     cluster = ctx.cluster
@@ -305,7 +312,7 @@ def plan_context(ctx: OptimizerContext, banned: frozenset[str] | set[str] = (),
     if ram_headroom < 1.0:
         cluster = dataclasses.replace(
             cluster, ram_bytes=cluster.ram_bytes * ram_headroom)
-    return dataclasses.replace(ctx, implementations=impls, cluster=cluster)
+    return ctx.derive(implementations=impls, cluster=cluster)
 
 
 def _impl_in_stage(plan: Plan, stage: str) -> str | None:
@@ -348,10 +355,15 @@ def execute_robust(
     Injected faults are retried *inside* each attempt by the executor; only
     a fault that exhausts its retry budget abandons the attempt, and it is
     retried on a fresh plan without banning anything.
+
+    A bad ``max_states`` raises ``ValueError`` up front.  A re-optimization
+    that finds no plan (``OptimizationError`` or ``AnnotationError``) ends
+    the run with ``ok=False``; any other error is a defect and propagates.
     """
-    from ..core.optimizer import optimize
+    from ..core.optimizer import optimize, validate_knobs
     from .executor import Executor
 
+    validate_knobs(max_states)
     if ctx is None:
         ctx = OptimizerContext()
     banned: set[str] = set()
@@ -363,7 +375,7 @@ def execute_robust(
             try:
                 plan = optimize(graph, plan_context(ctx, banned, headroom),
                                 max_states=max_states)
-            except Exception as err:
+            except (OptimizationError, AnnotationError) as err:
                 return RobustExecutionResult(
                     False, {}, None, None, None, fallbacks,
                     failure=f"re-optimization found no feasible plan: {err}",
@@ -405,11 +417,13 @@ def simulate_robust(
     Turns paper-scale "Fail" plans (e.g. hand-written baselines whose
     broadcast side exceeds worker RAM) into slower-but-completing plans by
     pruning the failing implementation and re-optimizing — no real data is
-    materialized, so 60K x 160K weight layers are fine.
+    materialized, so 60K x 160K weight layers are fine.  Knob validation
+    and error handling are as in :func:`execute_robust`.
     """
-    from ..core.optimizer import optimize
+    from ..core.optimizer import optimize, validate_knobs
     from .executor import simulate
 
+    validate_knobs(max_states)
     banned: set[str] = set()
     headroom = 1.0
     fallbacks: list[FallbackRecord] = []
@@ -433,7 +447,7 @@ def simulate_robust(
         try:
             plan = optimize(graph, plan_context(ctx, banned, headroom),
                             max_states=max_states)
-        except Exception as err:
+        except (OptimizationError, AnnotationError) as err:
             return RobustSimulationResult(
                 False, float("inf"), None, fallbacks,
                 failure=f"re-optimization found no feasible plan: {err}",

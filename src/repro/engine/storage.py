@@ -164,7 +164,9 @@ def store_as(relation: Relation, mtype: MatrixType, fmt: PhysicalFormat,
         return StoredMatrix(mtype, fmt, Relation.load(cluster, rows))
     rows = {}
     for key, payload in relation.rows.items():
-        if fmt.is_sparse and not sp.issparse(payload):
+        if fmt.layout is Layout.COO:
+            rows[key] = payload  # triple chunks are COO's own encoding
+        elif fmt.is_sparse and not sp.issparse(payload):
             rows[key] = sp.csr_matrix(payload)
         elif not fmt.is_sparse and sp.issparse(payload):
             rows[key] = payload.toarray()

@@ -2,6 +2,8 @@
 
 import collections
 import math
+import sys
+import threading
 
 import pytest
 
@@ -170,3 +172,115 @@ class TestContextExtension:
         g.add_source("A", matrix(4000, 4000), tiles(1000))
         ctx = OptimizerContext()
         assert context_for_graph(g, ctx) is ctx
+
+    def test_same_load_formats_share_one_extended_context(self):
+        from repro.core.optimizer import context_for_graph
+        from repro.core import ComputeGraph
+
+        ctx = OptimizerContext()
+        extended = []
+        for rows in (100, 200):
+            g = ComputeGraph()
+            g.add_source("A", matrix(rows, 10_000), row_strips(10))
+            g.add_source("B", matrix(4000, 4000), tiles(1000))
+            extended.append(context_for_graph(g, ctx))
+        assert extended[0] is extended[1]
+        assert extended[0] is not ctx
+
+
+class TestDerive:
+    """Derived contexts: built once per parent and change set, never
+    shared between separately built parents."""
+
+    def test_no_change_returns_self(self):
+        ctx = OptimizerContext()
+        assert ctx.derive() is ctx
+        assert ctx.derive(formats=ctx.formats, cluster=ctx.cluster) is ctx
+        # Equal values count as unchanged, whatever object carries them.
+        same = simsql_cluster(10)
+        ctx = OptimizerContext(cluster=simsql_cluster(10))
+        assert same is not ctx.cluster
+        assert ctx.derive(cluster=same, formats=tuple(ctx.formats)) is ctx
+
+    def test_same_change_set_returns_same_child(self):
+        ctx = OptimizerContext()
+        formats = ctx.formats + (row_strips(10),)
+        child = ctx.derive(formats=formats)
+        assert child is not ctx
+        assert child.formats == formats
+        assert ctx.derive(formats=tuple(formats)) is child
+        # Fields passed at their current value do not make a new child.
+        assert ctx.derive(formats=formats, cluster=ctx.cluster) is child
+
+    def test_different_change_sets_different_children(self):
+        ctx = OptimizerContext()
+        strips = ctx.derive(formats=ctx.formats + (row_strips(10),))
+        smaller = ctx.derive(cluster=ctx.cluster.with_workers(2))
+        both = ctx.derive(formats=strips.formats, cluster=smaller.cluster)
+        assert len({id(strips), id(smaller), id(both), id(ctx)}) == 4
+        assert ctx.derive(cluster=ctx.cluster.with_workers(3)) is not smaller
+        assert both.formats == strips.formats
+        assert both.cluster == smaller.cluster
+
+    def test_parent_fields_unchanged(self):
+        ctx = OptimizerContext()
+        before = (ctx.cluster, ctx.formats, ctx.implementations,
+                  ctx.transforms, ctx.weights, ctx.charge_transforms)
+        ctx.derive(cluster=ctx.cluster.with_workers(3),
+                   implementations=ctx.implementations[1:],
+                   charge_transforms=False)
+        assert (ctx.cluster, ctx.formats, ctx.implementations,
+                ctx.transforms, ctx.weights, ctx.charge_transforms) == before
+        assert ctx.cluster.num_workers == 10
+
+    def test_child_has_its_own_memos(self):
+        ctx = OptimizerContext()
+        types = (matrix(4000, 4000), matrix(4000, 4000))
+        first = ctx.accepted_patterns(MATMUL, types)
+        child = ctx.derive(cluster=ctx.cluster.with_workers(2))
+        assert child.cost_model.cluster.num_workers == 2
+        assert child.accepted_patterns(MATMUL, types) is not first
+        assert child.accepted_patterns(MATMUL, types) == tuple(
+            OptimizerContext(cluster=child.cluster).accepted_patterns(
+                MATMUL, types))
+
+    def test_separately_built_parents_share_nothing(self):
+        a, b = OptimizerContext(), OptimizerContext()
+        cluster = a.cluster.with_workers(2)
+        assert a.derive(cluster=cluster) is not b.derive(cluster=cluster)
+        assert a.derive(cluster=cluster).derive(formats=a.formats[:5]) is \
+            a.derive(cluster=cluster).derive(formats=a.formats[:5])
+
+    def test_concurrent_callers_get_one_child_per_change_set(self):
+        """Threads racing to derive the same change sets from the same
+        parents all get the same child, and each parent keeps exactly one
+        child per change set."""
+        parents = [OptimizerContext() for _ in range(40)]
+        clusters = [parents[0].cluster.with_workers(n) for n in (2, 3, 4)]
+        threads = 8
+        start = threading.Barrier(threads)
+        seen = [[] for _ in range(threads)]
+
+        def worker(out):
+            for parent in parents:
+                start.wait(timeout=10)  # race on every parent's first derive
+                for cluster in clusters:
+                    out.append(parent.derive(cluster=cluster))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker, args=(out,))
+                    for out in seen]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert all(len(out) == len(parents) * len(clusters) for out in seen)
+        for out in seen[1:]:
+            assert all(a is b for a, b in zip(out, seen[0]))
+        for parent in parents:
+            assert len(parent._children) == len(clusters)

@@ -152,6 +152,24 @@ class TestMemoryFallback:
         # The original context is untouched.
         assert any(i.name == "mm_tile_shuffle" for i in ctx.implementations)
 
+    def test_plan_context_derives_each_change_once(self):
+        ctx = OptimizerContext()
+        assert plan_context(ctx) is ctx
+        assert plan_context(ctx, banned={"no_such_impl"}) is ctx
+        assert plan_context(ctx, workers=ctx.cluster.num_workers) is ctx
+        smaller = plan_context(ctx, workers=2)
+        assert smaller is not ctx
+        assert smaller.cluster.num_workers == 2
+        assert plan_context(ctx, workers=2) is smaller
+        pruned = plan_context(ctx, banned={"mm_tile_shuffle"})
+        assert plan_context(ctx, banned=frozenset({"mm_tile_shuffle"})) \
+            is pruned
+        tight = plan_context(ctx, banned={"mm_tile_shuffle"},
+                             ram_headroom=0.5)
+        assert tight is not pruned
+        assert plan_context(ctx, banned={"mm_tile_shuffle"},
+                            ram_headroom=0.5) is tight
+
     def test_exhausted_retries_do_not_ban_implementations(self):
         graph, inputs = _workload()
         ctx = OptimizerContext()
@@ -177,3 +195,68 @@ class TestMemoryFallback:
         assert "mm_tile_shuffle" in [f.banned_impl for f in robust.fallbacks]
         assert robust.seconds < float("inf")
         assert robust.display.endswith("*")
+
+
+def _only_matmul(ctx, keep):
+    """``ctx`` whose catalog's one matmul implementation is ``keep``."""
+    return OptimizerContext(cluster=ctx.cluster, implementations=tuple(
+        i for i in ctx.implementations
+        if not i.name.startswith("mm_") or i.name == keep))
+
+
+class TestFallbackErrors:
+    """Only "no plan fits" ends a fallback run with ``ok=False``; a bad
+    knob or a defect in planning surfaces as itself."""
+
+    def _simulated_fail(self, ctx):
+        """An all-tile matmul whose shuffle spills 1.7 TB per worker."""
+        g = ComputeGraph()
+        a = g.add_source("A", matrix(160_000, 10_000), tiles(1000))
+        b = g.add_source("B", matrix(10_000, 160_000), tiles(1000))
+        g.add_op("C", MATMUL, (a, b))
+        tile = plan_all_tile(g, ctx)
+        assert not simulate(tile, ctx).ok
+        return tile
+
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+    def test_bad_max_states_rejected(self, bad):
+        g, inputs, ctx = TestMemoryFallback()._oversubscribed()
+        with pytest.raises(ValueError, match="max_states"):
+            execute_robust(g, inputs, ctx, max_states=bad)
+        plan = optimize(g, ctx)
+        assert simulate(plan, ctx).ok
+        with pytest.raises(ValueError, match="max_states"):
+            simulate_robust(plan, ctx, max_states=bad)
+
+    def test_planning_defect_propagates(self, monkeypatch):
+        from repro.core import optimizer
+
+        def broken(*args, **kwargs):
+            raise KeyError("defect in the search")
+
+        g, inputs, ctx = TestMemoryFallback()._oversubscribed()
+        sim_ctx = OptimizerContext(cluster=simsql_cluster(2))
+        tile = self._simulated_fail(sim_ctx)
+        monkeypatch.setattr(optimizer, "optimize", broken)
+        with pytest.raises(KeyError, match="defect in the search"):
+            execute_robust(g, inputs, ctx)
+        with pytest.raises(KeyError, match="defect in the search"):
+            simulate_robust(tile, sim_ctx)
+
+    def test_no_feasible_replan_still_fails_cleanly(self):
+        """Once the only matmul implementation is banned, the re-plan
+        raises OptimizationError: the run reports it and stops."""
+        g, inputs, ctx = TestMemoryFallback()._oversubscribed()
+        (first,) = [i.name for i in optimize(g, ctx).annotation.impls.values()
+                    if i.name.startswith("mm_")]
+        robust = execute_robust(g, inputs, _only_matmul(ctx, first))
+        assert not robust.ok
+        assert [f.banned_impl for f in robust.fallbacks] == [first]
+        assert "re-optimization found no feasible plan" in robust.failure
+
+        sim_ctx = _only_matmul(OptimizerContext(cluster=simsql_cluster(2)),
+                               "mm_tile_shuffle")
+        sim = simulate_robust(self._simulated_fail(sim_ctx), sim_ctx)
+        assert not sim.ok
+        assert [f.banned_impl for f in sim.fallbacks] == ["mm_tile_shuffle"]
+        assert "re-optimization found no feasible plan" in sim.failure
