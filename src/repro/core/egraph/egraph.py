@@ -29,8 +29,8 @@ extraction are bit-reproducible across ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..atoms import atom_by_name
 from ..formats import PhysicalFormat
@@ -42,8 +42,7 @@ class EGraphError(GraphError):
     """Raised when the e-graph is driven into an inconsistent state."""
 
 
-@dataclass(frozen=True)
-class ENode:
+class ENode(NamedTuple):
     """One operator application over e-classes (or a source leaf).
 
     ``op`` is the atomic-computation name (including fused-atom names) or
@@ -51,6 +50,9 @@ class ENode:
     ``param`` carries the scalar constant of ``scalar_mul`` vertices;
     ``src`` is the identity key of a source leaf (name + type + format) and
     ``None`` for operator nodes.
+
+    A tuple subclass, so the hash-cons hashes and compares e-nodes at C
+    speed; its hash and equality are those of the field tuple.
     """
 
     op: str
@@ -97,29 +99,39 @@ class EGraph:
         self._classes: dict[int, EClass] = {}
         self._hashcons: dict[ENode, int] = {}
         self._worklist: list[int] = []
+        #: Roots that absorbed another class since the last rebuild: e-nodes
+        #: over them may not yet be hash-consed under their canonical form.
+        self._absorbed: set[int] = set()
         self._next_id = 0
         #: ``(e-class id, output name)`` per declared output of the seed
         #: graph, in declaration order.
         self.roots: tuple[tuple[int, str], ...] = ()
         #: Vertices merged away by hash-consing while seeding (free CSE).
         self.cse_merges = 0
-        #: Growth caps enforced *inside* :meth:`add_op` (budgets checked
-        #: only between rules cannot stop one explosive rule sweep): once
-        #: the node cap or the deadline is hit, new-node adds return None
-        #: while merges of existing nodes continue — stopping early is
-        #: always safe because the seed term is never removed.
+        #: Member e-nodes summed over all classes, kept as a running count.
+        self._n_nodes = 0
+        #: The e-node cap, enforced *inside* :meth:`add_op` (a budget
+        #: checked only between rules cannot stop one explosive rule
+        #: sweep): once the hash-cons holds ``growth_limit`` e-nodes, adds
+        #: of new e-nodes return None and count in :attr:`refused`, while
+        #: hash-cons hits and merges of existing nodes continue.  Stopping
+        #: early is always safe because the seed term is never removed.
         self.growth_limit: int | None = None
-        self.deadline: float | None = None
+        #: New e-nodes :meth:`add_op` refused at the cap so far.
+        self.refused = 0
 
     # ------------------------------------------------------------------
     # Union-find
     # ------------------------------------------------------------------
     def find(self, cid: int) -> int:
-        root = cid
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[cid] != root:  # path compression
-            self._parent[cid], cid = root, self._parent[cid]
+        parent = self._parent
+        root = parent[cid]
+        if root == cid:
+            return cid
+        while parent[root] != root:
+            root = parent[root]
+        while parent[cid] != root:  # path compression
+            parent[cid], cid = root, parent[cid]
         return root
 
     def class_of(self, cid: int) -> EClass:
@@ -139,13 +151,13 @@ class EGraph:
 
     @property
     def n_nodes(self) -> int:
-        return sum(len(c.nodes) for c in self._classes.values())
+        return self._n_nodes
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def canonicalize(self, node: ENode) -> ENode:
-        children = tuple(self.find(c) for c in node.children)
+        children = tuple(map(self.find, node.children))
         if children == node.children:
             return node
         return ENode(node.op, children, node.param, node.src)
@@ -156,6 +168,7 @@ class EGraph:
         self._parent[cid] = cid
         cls = EClass(cid, {node: None}, [], mtype)
         self._classes[cid] = cls
+        self._n_nodes += 1
         return cid
 
     def _add(self, node: ENode, mtype: MatrixType) -> int:
@@ -182,14 +195,17 @@ class EGraph:
                param: float | None = None) -> int | None:
         """Add an operator e-node; returns its e-class, or ``None`` when the
         atomic computation's type function rejects the child types (the
-        e-graph analogue of the paper's ⊥) or a growth cap is active and
-        the node would be new."""
-        children = tuple(self.find(c) for c in children)
+        e-graph analogue of the paper's ⊥) or the node would be new and the
+        hash-cons has reached :attr:`growth_limit` (counted in
+        :attr:`refused`)."""
+        children = tuple(map(self.find, children))
         node = ENode(op_name, children, param)
         hit = self._hashcons.get(node)
         if hit is not None:
             return self.find(hit)
-        if self._growth_blocked():
+        if self.growth_limit is not None and \
+                len(self._hashcons) >= self.growth_limit:
+            self.refused += 1
             return None
         in_types = []
         for c in children:
@@ -202,13 +218,6 @@ class EGraph:
         if out_type is None:
             return None
         return self._add(node, out_type)
-
-    def _growth_blocked(self) -> bool:
-        if self.growth_limit is not None and \
-                len(self._hashcons) >= self.growth_limit:
-            return True
-        return self.deadline is not None and \
-            time.perf_counter() >= self.deadline
 
     def set_name(self, cid: int, name: str, override: bool = False) -> None:
         cls = self.class_of(cid)
@@ -230,7 +239,9 @@ class EGraph:
         root, other = (ra, rb) if ra < rb else (rb, ra)
         keep, gone = self._classes[root], self._classes[other]
         self._merge_types(keep, gone)
+        members = len(keep.nodes) + len(gone.nodes)
         keep.nodes.update(gone.nodes)
+        self._n_nodes -= members - len(keep.nodes)
         keep.parents.extend(gone.parents)
         if keep.source is None:
             keep.source = gone.source
@@ -239,6 +250,7 @@ class EGraph:
         self._parent[other] = root
         del self._classes[other]
         self._worklist.append(root)
+        self._absorbed.add(root)
         return True
 
     @staticmethod
@@ -270,6 +282,23 @@ class EGraph:
             for cid in todo:
                 if self.find(cid) == cid and cid in self._classes:
                     self._repair(cid)
+        self._absorbed.clear()
+
+    def settled(self, cids: tuple[int, ...]) -> bool:
+        """True when no class of ``cids`` has absorbed another since the
+        last :meth:`rebuild`.
+
+        An e-node over such classes is then hash-consed under the same
+        canonical children as after that rebuild, so looking it up again
+        finds it; with a merge pending on a child it may not.
+        """
+        absorbed = self._absorbed
+        if absorbed:
+            find = self.find
+            for cid in cids:
+                if find(cid) in absorbed:
+                    return False
+        return True
 
     def _repair(self, cid: int) -> None:
         cls = self._classes[cid]
@@ -293,8 +322,10 @@ class EGraph:
             # Keep the owning class's node set canonical so rule matching
             # and extraction see up-to-date children.
             owner_cls = self._classes[self.find(pcid)]
+            members = len(owner_cls.nodes)
             owner_cls.nodes.pop(pnode, None)
             owner_cls.nodes[canon] = None
+            self._n_nodes += len(owner_cls.nodes) - members
             cls.parents.append((canon, pcid))
 
     # ------------------------------------------------------------------

@@ -10,9 +10,11 @@ represented graph plus a
 
 Budgets make saturation total: associativity and distributivity are
 productive rules that can grow the e-graph combinatorially on long matmul
-chains, so the loop is bounded by iterations, e-nodes, e-classes and wall
-clock.  Stopping early is always safe — the seed term is never removed, so
-extraction can at worst return the original graph.
+chains, so the loop is bounded by iterations, e-nodes and e-classes.  Every
+budget counts work, none reads a clock, so where saturation stops is a pure
+function of the graph and the budget.  Stopping early is always safe — the
+seed term is never removed, so extraction can at worst return the original
+graph.
 
 The default budget is part of the engine's observable behaviour: bump
 :data:`~repro.core.egraph.rules.RULESET_VERSION` when changing it, so plan
@@ -30,27 +32,22 @@ from ..registry import OptimizerContext
 from ..rewrites.base import SaturationReport
 from .egraph import EGraph
 from .extract import extract
-from .rules import RULE_TABLE
+from .rules import RULE_TABLE, Done
 
 
 @dataclass(frozen=True)
 class SaturationBudget:
-    """Stop conditions for the saturation loop (checked between rules)."""
+    """Stop conditions for the saturation loop.
+
+    ``max_e_nodes`` is the e-node cap :meth:`EGraph.add_op` enforces: the
+    loop ends after the rebuild that follows the first rule sweep in which
+    the cap refused a new e-node.  ``max_e_classes`` is checked before the
+    first iteration and after every rule sweep.
+    """
 
     max_iterations: int = 8
     max_e_nodes: int = 5_000
     max_e_classes: int = 2_500
-    max_seconds: float = 2.5
-
-    def exceeded(self, eg: EGraph, started: float) -> str | None:
-        """The first budget the e-graph has outgrown, or None."""
-        if eg.n_nodes >= self.max_e_nodes:
-            return "e_nodes"
-        if eg.n_classes >= self.max_e_classes:
-            return "e_classes"
-        if time.perf_counter() - started >= self.max_seconds:
-            return "seconds"
-        return None
 
 
 #: Budget used by ``optimize(rewrites="egraph")``.
@@ -65,32 +62,38 @@ def saturate(eg: EGraph, budget: SaturationBudget = DEFAULT_BUDGET,
     Returns ``(iterations, per-rule merge counts, saturated,
     budget_exhausted)``.  Rules run in table order within an iteration and
     the e-graph is rebuilt (congruence closure restored) after each rule,
-    so the merge sequence is deterministic.
+    so the merge sequence is deterministic.  Each rule keeps its record of
+    matches applied in full for the whole run (see
+    :mod:`repro.core.egraph.rules`).
     """
-    started = time.perf_counter()
     applied: dict[str, int] = {}
+    done: dict[str, Done] = {rule.name: {} for rule in RULE_TABLE}
     saturated = False
     exhausted: str | None = None
     iterations = 0
-    # Growth caps enforced inside add_op: between-rule budget checks alone
-    # cannot stop one explosive rule sweep (associativity on a deep matmul
-    # DAG can otherwise add hundreds of thousands of nodes in one scan).
+    # The node cap is enforced inside add_op: a budget checked between
+    # rules alone cannot stop one explosive rule sweep (associativity on a
+    # deep matmul DAG can otherwise add hundreds of thousands of nodes in
+    # one scan).
     eg.growth_limit = budget.max_e_nodes
-    eg.deadline = started + budget.max_seconds
     with tracer.span("egraph:saturate", kind="egraph") as span:
         while iterations < budget.max_iterations:
-            exhausted = budget.exceeded(eg, started)
-            if exhausted:
+            if eg.n_classes >= budget.max_e_classes:
+                exhausted = "e_classes"
                 break
             iterations += 1
             round_total = 0
             for rule in RULE_TABLE:
-                count = rule.apply(eg)
+                refused = eg.refused
+                count = rule.apply(eg, done[rule.name])
                 eg.rebuild()
                 if count:
                     applied[rule.name] = applied.get(rule.name, 0) + count
                     round_total += count
-                exhausted = budget.exceeded(eg, started)
+                if eg.refused != refused:
+                    exhausted = "e_nodes"
+                elif eg.n_classes >= budget.max_e_classes:
+                    exhausted = "e_classes"
                 if exhausted:
                     break
             if exhausted:
@@ -104,7 +107,6 @@ def saturate(eg: EGraph, budget: SaturationBudget = DEFAULT_BUDGET,
                  e_classes=eg.n_classes, saturated=saturated,
                  budget_exhausted=exhausted or "")
     eg.growth_limit = None
-    eg.deadline = None
     return iterations, applied, saturated, exhausted
 
 

@@ -21,8 +21,8 @@ The key has two parts:
 
 The planner service keys on the graph as submitted, before any rewrite
 runs: the rewrite stage is a function of exactly that graph, the context
-and the knobs (the e-graph's wall-clock deadline aside), so a repeat
-request is a lookup and the rewrite runs only on a miss.  Structurally
+and the knobs (e-graph saturation reads no clock), so a repeat request is
+a lookup and the rewrite runs only on a miss.  Structurally
 identical requests share one cache entry; the parameter tuple selects the
 concrete plan inside it.
 """

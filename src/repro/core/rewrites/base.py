@@ -69,11 +69,11 @@ class SaturationReport:
     #: True when a fixpoint was reached (no rule produced a new merge).
     saturated: bool = False
     #: Which budget stopped saturation early (``"iterations"``,
-    #: ``"e_nodes"``, ``"e_classes"``, ``"seconds"``), or None.
+    #: ``"e_nodes"``, ``"e_classes"``), or None.
     budget_exhausted: str | None = None
     #: Catalog-estimated operator cost of the extracted term.
     extraction_cost: float = 0.0
-    #: Wall-clock spent saturating + extracting.
+    #: Wall-clock spent saturating + extracting (measured, never a limit).
     seconds: float = 0.0
 
     @property

@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.annotation import Annotation, AnnotationError, Plan, make_plan
+from ..core.frontier import validate_search_knobs
 from ..core.graph import VertexId
 from ..core.optimizer import optimize
 from ..core.registry import OptimizerContext
@@ -96,7 +97,8 @@ class DynamicsConfig:
     re-planning pass, charged to the ``"replan"`` ledger category;
     ``reoptimize=False`` skips the fresh optimization candidate and always
     carries the old plan's choices onto the survivors; ``max_states``
-    beam-limits the re-optimization search; ``checkpoint_dir`` writes a
+    beam-limits the re-optimization search and is checked on construction,
+    so a bad value fails before any epoch runs; ``checkpoint_dir`` writes a
     durable :mod:`~repro.engine.checkpoint` snapshot after every frontier.
     """
 
@@ -109,6 +111,7 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.replan_cost_seconds < 0:
             raise ValueError("replan_cost_seconds must be >= 0")
+        validate_search_knobs(self.max_states)
 
 
 @dataclass

@@ -1,14 +1,18 @@
 """Unit tests for the equality-saturation engine.
 
 Covers the e-graph data structure (hash-consing, union-find, congruence
-closure), each rule family in the shared table, saturation budgets, the
-catalog-cost-guided extractor, the shared-table/pipeline parity invariant,
-report serialization, the optimizer-level never-worse guarantee, and the
-EXPLAIN rendering of saturation statistics.
+closure), each rule family in the shared table, saturation budgets and
+their independence from the wall clock, the catalog-cost-guided
+extractor, the shared-table/pipeline parity invariant, report
+serialization, the optimizer-level never-worse guarantee, and the EXPLAIN
+rendering of saturation statistics.
 """
 
 import dataclasses
+import importlib
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +45,10 @@ from repro.core.types import matrix
 from repro.engine.executor import execute_plan
 from repro.lang import build, input_matrix, relu
 from repro.lang.expr import add_bias
+from repro.workloads import dag2_graph, power_iteration
+
+#: The module, not the function the package exports under the same name.
+SATURATE = importlib.import_module("repro.core.egraph.saturate")
 
 
 @pytest.fixture(scope="module")
@@ -238,12 +246,35 @@ class TestBudgets:
             SaturationBudget(max_e_nodes=10**9, max_e_classes=1))
         assert report.budget_exhausted == "e_classes"
 
-    def test_time_budget(self, ctx):
-        _g, report = _saturated(
-            self._graph(), ctx,
-            SaturationBudget(max_e_nodes=10**9, max_e_classes=10**9,
-                             max_seconds=0.0))
-        assert report.budget_exhausted == "seconds"
+    @pytest.mark.parametrize("make_graph,budget", [
+        ("chain", SaturationBudget(max_e_nodes=6)),
+        ("dag2_scale2", DEFAULT_BUDGET),
+    ], ids=["chain", "dag2_scale2"])
+    def test_node_cap_stops_right_after_the_refusing_sweep(
+            self, make_graph, budget, monkeypatch):
+        """The loop ends with ``"e_nodes"`` after the rebuild that follows
+        the first rule sweep in which ``add_op`` refused a new e-node, and
+        only then."""
+        graph = self._graph() if make_graph == "chain" else dag2_graph(2)
+        sweeps = []
+
+        def watched(rule):
+            def apply(eg, done):
+                before = eg.refused
+                count = rule.apply(eg, done)
+                sweeps.append(eg.refused > before)
+                return count
+            return dataclasses.replace(rule, apply=apply)
+
+        monkeypatch.setattr(SATURATE, "RULE_TABLE",
+                            tuple(watched(r) for r in RULE_TABLE))
+        eg = EGraph.from_graph(graph)
+        _iters, _applied, saturated, exhausted = saturate(eg, budget)
+        assert exhausted == "e_nodes" and not saturated
+        assert sweeps.index(True) == len(sweeps) - 1
+        # Rebuilt after the last sweep: no merge is left pending.
+        assert eg.settled(eg.class_ids())
+        assert eg.growth_limit is None
 
     def test_exhausted_extraction_still_correct(self, ctx):
         """Stopping at any budget is safe: extraction still yields a graph
@@ -266,6 +297,35 @@ class TestBudgets:
         _g, report = _saturated(self._graph(), ctx)
         assert report.saturated
         assert report.budget_exhausted is None
+
+
+class TestNoWallClock:
+    """No clock reading decides anything: a clock that jumps 10 s per call
+    leaves the e-graph, the report (but its measured ``seconds``) and the
+    extracted graph as they are."""
+
+    @pytest.mark.parametrize("make_graph,stop", [
+        (lambda: dag2_graph(2), "e_nodes"),
+        (lambda: power_iteration(3000).graph, None),
+    ], ids=["dag2_scale2", "power_iteration"])
+    def test_slow_clock_changes_nothing(self, ctx, make_graph, stop,
+                                        monkeypatch):
+        graph = make_graph()
+        ref_graph, ref = saturate_graph(graph, ctx)
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter",
+                            lambda: 10.0 * next(ticks))
+        slow_graph, slow = saturate_graph(graph, ctx)
+        monkeypatch.undo()
+        assert slow.seconds >= 10.0  # the patched clock was read
+        assert ref.budget_exhausted == stop
+        assert ref.saturated == (stop is None)
+        assert (slow.e_nodes, slow.e_classes) == (ref.e_nodes, ref.e_classes)
+        assert dataclasses.replace(slow, seconds=0.0) == \
+            dataclasses.replace(ref, seconds=0.0)
+        assert graph_signature(slow_graph) == graph_signature(ref_graph)
+        assert [v.name for v in slow_graph.vertices] == \
+            [v.name for v in ref_graph.vertices]
 
 
 # ----------------------------------------------------------------------

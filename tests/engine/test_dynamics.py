@@ -120,6 +120,26 @@ class TestCrashRecovery:
         with pytest.raises(ValueError, match="workers"):
             execute_with_dynamics(plan, inputs, ctx, WorkerTimeline(5))
 
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, True])
+    def test_config_rejects_bad_max_states(self, bad):
+        with pytest.raises(ValueError, match="max_states"):
+            DynamicsConfig(max_states=bad)
+        assert DynamicsConfig(max_states=1).max_states == 1
+        assert DynamicsConfig().max_states is None
+
+    def test_bad_max_states_fails_before_any_epoch(self, planned):
+        """A crash re-plan used to be the first to see ``max_states=0``,
+        after the first epoch's work was charged; a run without a crash
+        succeeded.  The config now rejects it before the run starts."""
+        _, inputs, ctx, plan, _ = planned
+        tl = WorkerTimeline(3, [crash_at_frontier(1, 1)])
+        metrics = MetricsRegistry()
+        with pytest.raises(ValueError, match="max_states"):
+            execute_with_dynamics(plan, inputs, ctx, tl,
+                                  config=DynamicsConfig(max_states=0),
+                                  metrics=metrics)
+        assert not metrics.counters  # no stage ran, no crash was seen
+
 
 class TestNeverWorse:
     def test_carry_on_when_reoptimization_disabled(self, planned):
