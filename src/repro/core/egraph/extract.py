@@ -38,34 +38,50 @@ def extract(eg: EGraph, ctx: OptimizerContext
     re-inferred through ``add_op``, declared outputs re-marked) and its
     total estimated operator cost, counting each shared class once.
     """
-    best = _best_nodes(eg, ctx)
+    own_costs: dict[ENode, float] = {}
+    best = _best_nodes(eg, ctx, own_costs)
     out = ComputeGraph()
     memo: dict[int, int] = {}
     used_names: set[str] = set()
     total = 0.0
     for root, _name in eg.roots:
-        total += _emit(eg, eg.find(root), best, ctx, out, memo, used_names)
+        total += _emit(eg, eg.find(root), best, ctx, own_costs, out, memo,
+                       used_names)
         out.mark_output(memo[eg.find(root)])
     return out, total
 
 
+def _own_cost(eg: EGraph, ctx: OptimizerContext, node: ENode,
+              own_costs: dict[ENode, float]) -> float:
+    """The op cost of ``node`` itself, priced once per extraction.
+
+    It depends only on the op and the child classes' types, which
+    extraction never changes, so ``own_costs`` (local to one
+    :func:`extract` call) keeps it however many fixpoint sweeps ask.
+    """
+    own = own_costs.get(node)
+    if own is None:
+        in_types = tuple(eg.class_of(child).mtype for child in node.children)
+        own = own_costs[node] = op_cost(ctx, atom_by_name(node.op),
+                                        in_types)
+    return own
+
+
 def _node_cost(eg: EGraph, ctx: OptimizerContext, node: ENode,
-               best: dict[int, tuple[float, ENode | None]]) -> float:
+               best: dict[int, tuple[float, ENode | None]],
+               own_costs: dict[ENode, float]) -> float:
     """Own op cost + children's best costs, or inf when not yet computable."""
-    in_types = []
     children_cost = 0.0
     for child in node.children:
-        child = eg.find(child)
-        entry = best.get(child)
+        entry = best.get(eg.find(child))
         if entry is None:
             return math.inf
         children_cost += entry[0]
-        in_types.append(eg.class_of(child).mtype)
-    own = op_cost(ctx, atom_by_name(node.op), tuple(in_types))
-    return own + children_cost
+    return _own_cost(eg, ctx, node, own_costs) + children_cost
 
 
-def _best_nodes(eg: EGraph, ctx: OptimizerContext
+def _best_nodes(eg: EGraph, ctx: OptimizerContext,
+                own_costs: dict[ENode, float]
                 ) -> dict[int, tuple[float, ENode | None]]:
     """Per-class ``(best cost, chosen e-node)`` via bottom-up fixpoint.
 
@@ -88,7 +104,7 @@ def _best_nodes(eg: EGraph, ctx: OptimizerContext
             for node in eg.nodes_of(cid):
                 if node.is_source:
                     continue
-                cost = _node_cost(eg, ctx, node, best)
+                cost = _node_cost(eg, ctx, node, best, own_costs)
                 if cost < current:
                     best[cid] = (cost, node)
                     current = cost
@@ -109,8 +125,9 @@ def _best_nodes(eg: EGraph, ctx: OptimizerContext
 
 def _emit(eg: EGraph, cid: int,
           best: dict[int, tuple[float, ENode | None]],
-          ctx: OptimizerContext, out: ComputeGraph,
-          memo: dict[int, int], used_names: set[str]) -> float:
+          ctx: OptimizerContext, own_costs: dict[ENode, float],
+          out: ComputeGraph, memo: dict[int, int],
+          used_names: set[str]) -> float:
     """Rebuild the chosen term for class ``cid``; returns the summed op
     cost of every class newly emitted under it (shared classes charged on
     first emission only)."""
@@ -129,11 +146,9 @@ def _emit(eg: EGraph, cid: int,
         memo[cid] = out.add_source(name, mtype, fmt)
         return 0.0
     emitted = 0.0
-    in_types = []
     for child in node.children:
-        emitted += _emit(eg, eg.find(child), best, ctx, out, memo,
+        emitted += _emit(eg, eg.find(child), best, ctx, own_costs, out, memo,
                          used_names)
-        in_types.append(eg.class_of(child).mtype)
     name = cls.name or f"e{cid}"
     if name in used_names:
         name = f"{name}~{cid}"
@@ -141,5 +156,5 @@ def _emit(eg: EGraph, cid: int,
     children = tuple(memo[eg.find(c)] for c in node.children)
     memo[cid] = out.add_op(name, atom_by_name(node.op), children,
                            param=node.param)
-    own = op_cost(ctx, atom_by_name(node.op), tuple(in_types))
+    own = _own_cost(eg, ctx, node, own_costs)
     return emitted + (own if math.isfinite(own) else 0.0)

@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .types import ENTRY_BYTES, SPARSE_ENTRY_BYTES, MatrixType
+from .types import ENTRY_BYTES, SPARSE_ENTRY_BYTES, MatrixType, is_extent
 
 #: Upper bound on the payload of one tuple.  SimSQL/PlinyCompute tuples live
 #: in worker RAM during joins; the paper notes a single tuple cannot hold a
@@ -52,6 +52,24 @@ SPARSE_LAYOUTS = frozenset(
      Layout.SPARSE_SINGLE}
 )
 
+#: Layouts that keep the whole matrix in one tuple.
+SINGLE_LAYOUTS = frozenset({Layout.SINGLE, Layout.SPARSE_SINGLE})
+
+#: Horizontal-strip layouts (blocked along rows only).
+ROW_LAYOUTS = frozenset({Layout.ROW_STRIP, Layout.CSR_STRIP})
+
+#: Vertical-strip layouts (blocked along columns only).
+COL_LAYOUTS = frozenset({Layout.COL_STRIP, Layout.CSC_STRIP})
+
+#: Square-tile layouts (blocked along both).
+TILE_LAYOUTS = frozenset({Layout.TILE, Layout.SPARSE_TILE})
+
+#: Each layout's position in :class:`Layout`: a format's hash is built from
+#: integers only, so it is the same in every process (an enum member
+#: hashes its name string, which ``PYTHONHASHSEED`` salts) and a cached
+#: hash stays valid when a format is pickled to another process.
+_LAYOUT_CODES = {layout: code for code, layout in enumerate(Layout)}
+
 
 @dataclass(frozen=True)
 class PhysicalFormat:
@@ -59,6 +77,9 @@ class PhysicalFormat:
 
     ``block_rows`` / ``block_cols`` give the block extents where meaningful:
     strips use one of them, tiles use both, single/COO use neither.
+
+    The layout-class flags and the hash are computed once, on
+    construction: the search asks for them millions of times per plan.
     """
 
     layout: Layout
@@ -66,20 +87,37 @@ class PhysicalFormat:
     block_cols: int | None = None
 
     def __post_init__(self) -> None:
-        needs_rows = self.layout in (
-            Layout.ROW_STRIP, Layout.CSR_STRIP, Layout.TILE, Layout.SPARSE_TILE
-        )
-        needs_cols = self.layout in (
-            Layout.COL_STRIP, Layout.CSC_STRIP, Layout.TILE, Layout.SPARSE_TILE
-        )
-        if needs_rows and (self.block_rows is None or self.block_rows <= 0):
-            raise ValueError(f"{self.layout} needs positive block_rows")
-        if needs_cols and (self.block_cols is None or self.block_cols <= 0):
-            raise ValueError(f"{self.layout} needs positive block_cols")
-        if not needs_rows and self.block_rows is not None:
-            raise ValueError(f"{self.layout} takes no block_rows")
-        if not needs_cols and self.block_cols is not None:
-            raise ValueError(f"{self.layout} takes no block_cols")
+        layout = self.layout
+        if not isinstance(layout, Layout):
+            raise ValueError(f"layout must be a Layout, got {layout!r}")
+        row_blocked = layout in ROW_LAYOUTS
+        col_blocked = layout in COL_LAYOUTS
+        tiled = layout in TILE_LAYOUTS
+        needs_rows = row_blocked or tiled
+        needs_cols = col_blocked or tiled
+        for name, needs in (("block_rows", needs_rows),
+                            ("block_cols", needs_cols)):
+            value = getattr(self, name)
+            if not needs:
+                if value is not None:
+                    raise ValueError(f"{layout} takes no {name}")
+            elif not is_extent(value):
+                raise ValueError(
+                    f"{layout} needs a positive integer {name}, got {value!r}")
+        # Not fields: equality, repr and ``dataclasses.fields`` see only
+        # the layout and the block extents.
+        self.__dict__.update(
+            _sparse=layout in SPARSE_LAYOUTS,
+            _single=layout in SINGLE_LAYOUTS,
+            _row_blocked=row_blocked,
+            _col_blocked=col_blocked,
+            _tiled=tiled,
+            _coo=layout is Layout.COO,
+            _hash=hash((_LAYOUT_CODES[layout], self.block_rows or 0,
+                        self.block_cols or 0)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # Classification helpers
@@ -87,27 +125,27 @@ class PhysicalFormat:
     @property
     def is_sparse(self) -> bool:
         """True when the format stores only non-zero entries."""
-        return self.layout in SPARSE_LAYOUTS
+        return self._sparse
 
     @property
     def is_single(self) -> bool:
         """True when the whole matrix lives in one tuple."""
-        return self.layout in (Layout.SINGLE, Layout.SPARSE_SINGLE)
+        return self._single
 
     @property
     def is_row_partitioned(self) -> bool:
         """True for horizontal-strip layouts."""
-        return self.layout in (Layout.ROW_STRIP, Layout.CSR_STRIP)
+        return self._row_blocked
 
     @property
     def is_col_partitioned(self) -> bool:
         """True for vertical-strip layouts."""
-        return self.layout in (Layout.COL_STRIP, Layout.CSC_STRIP)
+        return self._col_blocked
 
     @property
     def is_tiled(self) -> bool:
         """True for square-tile layouts."""
-        return self.layout in (Layout.TILE, Layout.SPARSE_TILE)
+        return self._tiled
 
     @property
     def dense_family(self) -> Layout:
@@ -133,20 +171,18 @@ class PhysicalFormat:
         The last strip/tile in each direction may be ragged (smaller than the
         nominal block size); the engine handles ragged blocks natively.
         """
-        rows, cols = mtype.rows, mtype.cols
-        if self.is_single:
+        if self._single:
             return (1, 1)
-        if self.layout is Layout.COO:
+        if self._coo:
             # Modelled as one logical partition per ~1M non-zeros, at least 1.
             parts = max(1, math.ceil(mtype.nnz / 1_000_000))
             return (parts, 1)
-        br = self.block_rows if self.block_rows else rows
-        bc = self.block_cols if self.block_cols else cols
-        if self.is_row_partitioned:
-            return (math.ceil(rows / br), 1)
-        if self.is_col_partitioned:
-            return (1, math.ceil(cols / bc))
-        return (math.ceil(rows / br), math.ceil(cols / bc))
+        if self._row_blocked:
+            return (math.ceil(mtype.rows / self.block_rows), 1)
+        if self._col_blocked:
+            return (1, math.ceil(mtype.cols / self.block_cols))
+        return (math.ceil(mtype.rows / self.block_rows),
+                math.ceil(mtype.cols / self.block_cols))
 
     def tuple_count(self, mtype: MatrixType) -> int:
         """Number of tuples the matrix decomposes into under this format."""
@@ -159,31 +195,41 @@ class PhysicalFormat:
         if not (0 <= row < gr and 0 <= col < gc):
             raise IndexError(f"block ({row}, {col}) outside grid ({gr}, {gc})")
         rows, cols = mtype.rows, mtype.cols
-        if self.layout is Layout.COO:
+        if self._coo:
             return (rows, cols)
-        br = self.block_rows if (self.is_row_partitioned or self.is_tiled) else rows
-        bc = self.block_cols if (self.is_col_partitioned or self.is_tiled) else cols
-        br = br or rows
-        bc = bc or cols
+        br, bc = self._block_extents(mtype)
         r0, c0 = row * br, col * bc
         return (min(br, rows - r0), min(bc, cols - c0))
+
+    def _block_extents(self, mtype: MatrixType) -> tuple[int, int]:
+        """Nominal block extents for ``mtype``: the full extent along an
+        unblocked dimension."""
+        br = self.block_rows if (self._row_blocked or self._tiled) else None
+        bc = self.block_cols if (self._col_blocked or self._tiled) else None
+        return (br or mtype.rows, bc or mtype.cols)
 
     # ------------------------------------------------------------------
     # Storage sizes
     # ------------------------------------------------------------------
     def stored_bytes(self, mtype: MatrixType) -> float:
         """Total payload bytes used to store ``mtype`` in this format."""
-        if self.is_sparse:
+        if self._sparse:
             return max(mtype.nnz * SPARSE_ENTRY_BYTES, SPARSE_ENTRY_BYTES)
         return mtype.entries * ENTRY_BYTES
 
     def max_tuple_bytes(self, mtype: MatrixType) -> float:
         """Payload bytes of the largest single tuple."""
-        if self.layout is Layout.COO:
-            return self.stored_bytes(mtype) / self.tuple_count(mtype)
-        shape = self.block_shape(mtype, 0, 0)
-        entries = shape[0] * shape[1]
-        if self.is_sparse:
+        return self._max_tuple_bytes(mtype, self.grid(mtype))
+
+    def _max_tuple_bytes(self, mtype: MatrixType,
+                         grid: tuple[int, int]) -> float:
+        """:meth:`max_tuple_bytes` given ``mtype``'s block grid."""
+        if self._coo:
+            return self.stored_bytes(mtype) / (grid[0] * grid[1])
+        # The first block is the largest: only the last ones are ragged.
+        br, bc = self._block_extents(mtype)
+        entries = min(br, mtype.rows) * min(bc, mtype.cols)
+        if self._sparse:
             return max(entries * mtype.sparsity * SPARSE_ENTRY_BYTES,
                        SPARSE_ENTRY_BYTES)
         return entries * ENTRY_BYTES
@@ -195,21 +241,19 @@ class PhysicalFormat:
         """Whether this format can implement the given matrix type."""
         if mtype.ndim > 2:
             return False
-        if self.is_sparse and mtype.sparsity > SPARSE_ADMIT_THRESHOLD:
+        if self._sparse and mtype.sparsity > SPARSE_ADMIT_THRESHOLD:
             return False
-        if self.is_row_partitioned and self.block_rows and \
+        if (self._row_blocked or self._tiled) and \
                 self.block_rows > mtype.rows:
             return False
-        if self.is_col_partitioned and self.block_cols and \
+        if (self._col_blocked or self._tiled) and \
                 self.block_cols > mtype.cols:
             return False
-        if self.is_tiled and (self.block_rows > mtype.rows
-                              or self.block_cols > mtype.cols):
-            return False
-        if self.max_tuple_bytes(mtype) > MAX_TUPLE_BYTES:
+        grid = self.grid(mtype)
+        if self._max_tuple_bytes(mtype, grid) > MAX_TUPLE_BYTES:
             return False
         # Guard against absurd tuple counts (per-tuple overhead dominates).
-        if self.tuple_count(mtype) > 4_000_000:
+        if grid[0] * grid[1] > 4_000_000:
             return False
         return True
 

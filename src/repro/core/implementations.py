@@ -43,7 +43,7 @@ from .atoms import (
     atom_by_name,
     fused_steps,
 )
-from .formats import Layout, PhysicalFormat, tiles
+from .formats import Layout, PhysicalFormat, admissible_formats, tiles
 from .types import MatrixType
 
 Formats = Sequence[PhysicalFormat]
@@ -138,18 +138,24 @@ class OpImplementation(ABC):
     ) -> Iterator[tuple[tuple[PhysicalFormat, ...], PhysicalFormat]]:
         """Enumerate accepted input-format tuples (and their outputs).
 
-        The default enumerates the full ``catalog ** arity`` cross product,
-        filtering through :meth:`output_format`; subclasses override when a
-        cheaper enumeration exists.
+        The default first narrows each input's ``catalog`` to the formats
+        that admit that input's type, then walks the cross product of those
+        in catalog order, filtering through :meth:`output_format`.  It
+        yields exactly what the full ``catalog ** arity`` product would,
+        in the same order, because ``output_format`` returns None whenever
+        some input format does not admit its type; subclasses override
+        when a cheaper enumeration exists.
         """
+        admitted = [admissible_formats(t, catalog) for t in in_types]
         if self.op.arity == 1:
-            for f in catalog:
+            for f in admitted[0]:
                 out = self.output_format(in_types, (f,), cluster)
                 if out is not None:
                     yield (f,), out
         elif self.op.arity == 2:
-            for f1 in catalog:
-                for f2 in catalog:
+            rights = admitted[1]
+            for f1 in admitted[0]:
+                for f2 in rights:
                     out = self.output_format(in_types, (f1, f2), cluster)
                     if out is not None:
                         yield (f1, f2), out

@@ -27,6 +27,7 @@ did (per-pass reports, or saturation statistics).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer, as_tracer
@@ -37,7 +38,7 @@ from .frontier import optimize_dag, validate_search_knobs
 from .graph import ComputeGraph
 from .registry import OptimizerContext
 from .rewrites import PipelineReport, PlanPipeline, RewriteSpec, \
-    resolve_engine, validate_rewrites
+    plan_cost_bound, resolve_engine, validate_rewrites
 from .tree_dp import optimize_tree
 
 
@@ -159,8 +160,11 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
 
     The chosen plan carries ``report`` (``adopted``/``fallback`` downgraded
     when a fallback candidate won).  Structurally identical candidates are
-    skipped — the search is deterministic, so they cannot differ.
-    ``frontier`` accepts only ``"array"`` (see
+    skipped — the search is deterministic, so they cannot differ — and so
+    is a candidate whose :func:`~repro.core.rewrites.plan_cost_bound`
+    already exceeds the cost of the plan in hand: a fallback replaces that
+    plan only when strictly cheaper, so the skipped search would have lost
+    (see :func:`_cannot_win`).  ``frontier`` accepts only ``"array"`` (see
     :func:`repro.core.frontier.validate_search_knobs`).
     """
     validate_search_knobs(max_states, frontier)
@@ -170,7 +174,8 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
         if report.engine == "egraph":
             pipe_graph, _ = PlanPipeline.from_spec("all").run(
                 graph, ctx, tracer=tracer)
-            if graph_signature(pipe_graph)[0] != signature:
+            if graph_signature(pipe_graph)[0] != signature and \
+                    not _cannot_win(pipe_graph, ctx, plan.total_seconds):
                 pipe_plan = _optimize_physical(pipe_graph, ctx, max_states,
                                                tracer)
                 if pipe_plan.total_seconds < plan.total_seconds:
@@ -178,7 +183,8 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
                     report = dataclasses.replace(
                         report, adopted=False, fallback="pipeline")
                     signature = graph_signature(pipe_graph)[0]
-        if graph_signature(graph)[0] != signature:
+        if graph_signature(graph)[0] != signature and \
+                not _cannot_win(graph, ctx, plan.total_seconds):
             plain = _optimize_physical(graph, ctx, max_states, tracer)
             if plain.total_seconds < plan.total_seconds:
                 plan = plain
@@ -187,6 +193,28 @@ def physical_plan(graph: ComputeGraph, rewritten: ComputeGraph,
     if report is not None:
         plan = dataclasses.replace(plan, pipeline=report)
     return plan
+
+
+#: Relative slack of the fallback bound.  The bound and a plan's cost add
+#: the same kind of per-vertex costs in different orders, so a tight bound
+#: may exceed the cost it bounds in its last bits; a relative 1e-9 covers
+#: that rounding many times over.
+BOUND_SLACK = 1e-9
+
+
+def _cannot_win(candidate: ComputeGraph, ctx: OptimizerContext,
+                incumbent: float) -> bool:
+    """True when no plan of ``candidate`` can cost less than ``incumbent``.
+
+    Compares :func:`~repro.core.rewrites.plan_cost_bound` with the
+    incumbent's cost.  An infinite bound never skips: the candidate's
+    search then raises, as it always did.  Negative cost weights could
+    price a transformation below zero, so they disable the skip.
+    """
+    if min(ctx.weights.as_vector()) < 0.0:
+        return False
+    bound = plan_cost_bound(ctx, candidate)
+    return math.isfinite(bound) and bound > incumbent * (1.0 + BOUND_SLACK)
 
 
 def record_optimize_metrics(plan: Plan,

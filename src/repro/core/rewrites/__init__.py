@@ -9,7 +9,7 @@ their identities from the shared rule table
 """
 
 from .base import GraphRewriter, PassReport, PipelineReport, RewritePass, \
-    SaturationReport, op_cost
+    SaturationReport, op_cost, plan_cost_bound
 from .chain import ReassociatePass
 from .cse import CSEPass, structural_cse
 from .fusion import FusionPass
@@ -34,6 +34,7 @@ __all__ = [
     "ScalarPushdownPass",
     "TransposePushdownPass",
     "op_cost",
+    "plan_cost_bound",
     "resolve_engine",
     "resolve_passes",
     "validate_rewrites",

@@ -206,6 +206,24 @@ def op_cost(ctx: OptimizerContext, op: AtomicOp,
     return min(cost for _, _, _, cost in patterns)
 
 
+def plan_cost_bound(ctx: OptimizerContext, graph: ComputeGraph) -> float:
+    """Σ :func:`op_cost` over ``graph``'s op vertices: a lower bound on the
+    ``total_seconds`` of every plan any search finds for ``graph``.
+
+    Every search (tree DP, frontier, brute force) labels a vertex with a
+    pattern from ``accepted_patterns`` for that vertex's input types, and
+    ``evaluate`` charges the chosen implementation's cost, which is at
+    least ``op_cost``, plus transformation costs, which are never negative
+    while the cost weights are not.  ``inf`` when some vertex has no
+    accepted pattern.  The menus come from the context's memos, so on a
+    graph about to be searched this enumerates nothing the search would
+    not.
+    """
+    return sum(op_cost(ctx, v.op,
+                       tuple(graph.vertex(p).mtype for p in v.inputs))
+               for v in graph.vertices if not v.is_source)
+
+
 @dataclass
 class GraphRewriter:
     """Helper for passes that rebuild a graph vertex by vertex.

@@ -40,12 +40,16 @@ def format_to_dict(fmt: PhysicalFormat) -> dict[str, Any]:
 
 
 def format_from_dict(payload: dict[str, Any]) -> PhysicalFormat:
+    """Rebuild a format; any malformed payload raises
+    :class:`SerializationError`."""
+    if not isinstance(payload, dict):
+        raise SerializationError(f"bad format payload {payload!r}")
     try:
-        layout = Layout(payload["layout"])
+        return PhysicalFormat(Layout(payload["layout"]),
+                              payload.get("block_rows"),
+                              payload.get("block_cols"))
     except (KeyError, ValueError) as exc:
         raise SerializationError(f"bad format payload {payload!r}") from exc
-    return PhysicalFormat(layout, payload.get("block_rows"),
-                          payload.get("block_cols"))
 
 
 def type_to_dict(mtype: MatrixType) -> dict[str, Any]:
@@ -53,7 +57,16 @@ def type_to_dict(mtype: MatrixType) -> dict[str, Any]:
 
 
 def type_from_dict(payload: dict[str, Any]) -> MatrixType:
-    return MatrixType(tuple(payload["dims"]), payload.get("sparsity", 1.0))
+    """Rebuild a matrix type; any malformed payload raises
+    :class:`SerializationError`."""
+    if not isinstance(payload, dict):
+        raise SerializationError(f"bad type payload {payload!r}")
+    try:
+        # TypeError: ``dims`` is not iterable.
+        return MatrixType(tuple(payload["dims"]),
+                          payload.get("sparsity", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad type payload {payload!r}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ defined, as in the paper, as the fraction of entries that are non-zero
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 #: Bytes per matrix entry.  The paper stores double-precision floats.
@@ -18,6 +19,15 @@ ENTRY_BYTES = 8
 #: Approximate bytes per non-zero in a COO/CSR-style sparse encoding
 #: (value + index overhead).
 SPARSE_ENTRY_BYTES = 16
+
+
+def is_extent(value: object) -> bool:
+    """True for a positive integer: a valid extent or block size.  Bools
+    are integers to Python but never an extent."""
+    if type(value) is not int and (
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        return False
+    return value > 0
 
 
 @dataclass(frozen=True)
@@ -31,37 +41,44 @@ class MatrixType:
 
     ``sparsity`` is the estimated fraction of non-zero entries in
     ``[0.0, 1.0]``; it only affects costing, never typing.
+
+    The shape accessors ``ndim`` (dimensionality ``d``: 1 = vector,
+    2 = matrix), ``rows`` (a vector is treated as a single-row matrix) and
+    ``cols`` (a vector's length), and the hash, are computed once on
+    construction: the search reads them millions of times per plan.
     """
 
     dims: tuple[int, ...]
     sparsity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.dims:
-            raise ValueError("a matrix type needs at least one dimension")
-        if any(d <= 0 for d in self.dims):
-            raise ValueError(f"all extents must be positive, got {self.dims}")
-        if not 0.0 <= self.sparsity <= 1.0:
-            raise ValueError(f"sparsity must be in [0, 1], got {self.sparsity}")
+        dims, sparsity = self.dims, self.sparsity
+        if not isinstance(dims, tuple) or not dims:
+            raise ValueError(
+                f"a matrix type needs a non-empty tuple of extents, got "
+                f"{dims!r}")
+        if not all(map(is_extent, dims)):
+            raise ValueError(
+                f"all extents must be positive integers, got {dims}")
+        if type(sparsity) is not float and (
+                isinstance(sparsity, bool)
+                or not isinstance(sparsity, numbers.Real)):
+            raise ValueError(f"sparsity must be a real number, got "
+                             f"{sparsity!r}")
+        if not 0.0 <= sparsity <= 1.0:
+            raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
+        # Not fields: equality, repr, ``dataclasses.fields`` and the
+        # serialized form see only ``dims`` and ``sparsity``.
+        ndim = len(dims)
+        self.__dict__.update(ndim=ndim, rows=dims[0] if ndim >= 2 else 1,
+                             cols=dims[-1], _hash=hash((dims, sparsity)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     # Shape accessors
     # ------------------------------------------------------------------
-    @property
-    def ndim(self) -> int:
-        """Dimensionality ``d`` of the type (1 = vector, 2 = matrix)."""
-        return len(self.dims)
-
-    @property
-    def rows(self) -> int:
-        """Row count.  A vector is treated as a single-row matrix."""
-        return self.dims[0] if self.ndim >= 2 else 1
-
-    @property
-    def cols(self) -> int:
-        """Column count.  For a vector this is its length."""
-        return self.dims[-1]
-
     @property
     def entries(self) -> int:
         """Total number of entries."""

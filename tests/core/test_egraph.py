@@ -28,6 +28,8 @@ from repro.core.egraph import (
     saturate,
     saturate_graph,
 )
+from repro.cluster import simsql_cluster
+from repro.core.atoms import atom_by_name
 from repro.core.egraph.extract import extract
 from repro.core.explain import explain
 from repro.core.fingerprint import graph_signature
@@ -43,6 +45,9 @@ from repro.core.rewrites import (
 from repro.core.rewrites.pipeline import PASS_REGISTRY
 from repro.core.types import matrix
 from repro.engine.executor import execute_plan
+from repro.experiments.egraph import BEAM as EGRAPH_BEAM
+from repro.experiments.egraph import CATALOG as EGRAPH_CATALOG
+from repro.experiments.egraph import egraph_workloads
 from repro.lang import build, input_matrix, relu
 from repro.lang.expr import add_bias
 from repro.workloads import dag2_graph, power_iteration
@@ -458,3 +463,59 @@ class TestOptimizerIntegration:
         _g, report = _saturated(graph, ctx)
         assert math.isfinite(report.extraction_cost)
         assert report.extraction_cost >= 0.0
+
+
+#: The extractor module, for patching its pricing helpers.
+EXTRACT = importlib.import_module("repro.core.egraph.extract")
+
+
+def _repricing_own_cost(eg, ctx, node, own_costs):
+    """The oracle: price the e-node again on every call, as extraction did
+    before it kept each e-node's own cost."""
+    in_types = tuple(eg.class_of(child).mtype for child in node.children)
+    return EXTRACT.op_cost(ctx, atom_by_name(node.op), in_types)
+
+
+def _graph_record(graph) -> list:
+    return [(v.vid, v.name, v.op.name if v.op else None, v.inputs, v.param,
+             v.mtype, v.format) for v in graph.vertices]
+
+
+class TestExtractionPricing:
+    def test_each_e_node_priced_once(self, monkeypatch):
+        """DAG2 at scale 2 on the 10-worker SimSQL context: extraction
+        used to call ``op_cost`` 6,220 times for 1,848 e-nodes."""
+        ctx = OptimizerContext(cluster=simsql_cluster(10))
+        eg = EGraph.from_graph(dag2_graph(2))
+        saturate(eg)
+        calls = []
+        original = EXTRACT.op_cost
+
+        def counting(ctx, op, in_types):
+            calls.append((op, in_types))
+            return original(ctx, op, in_types)
+
+        monkeypatch.setattr(EXTRACT, "op_cost", counting)
+        extract(eg, ctx)
+        assert 0 < len(calls) <= eg.n_nodes
+
+    @pytest.mark.parametrize("name", sorted(egraph_workloads()))
+    def test_extraction_matches_repricing_oracle(self, monkeypatch, name):
+        """Same extracted graph (vertex names included), extraction cost
+        and plan as the extractor that re-prices every sweep."""
+        graph = egraph_workloads()[name]
+
+        def run():
+            ctx = OptimizerContext(cluster=simsql_cluster(10),
+                                   formats=EGRAPH_CATALOG)
+            extracted, report = saturate_graph(graph, ctx)
+            plan = optimize(graph, ctx, max_states=EGRAPH_BEAM,
+                            rewrites="egraph")
+            return (_graph_record(extracted), report.extraction_cost,
+                    repr(plan.total_seconds), _graph_record(plan.graph),
+                    sorted((vid, impl.name)
+                           for vid, impl in plan.annotation.impls.items()))
+
+        kept = run()
+        monkeypatch.setattr(EXTRACT, "_own_cost", _repricing_own_cost)
+        assert run() == kept

@@ -1,20 +1,30 @@
 """Tests for physical formats: admission, grids, storage sizes."""
 
+import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.formats import (
+    COL_LAYOUTS,
     DEFAULT_FORMATS,
     DENSE_FORMATS,
     MAX_TUPLE_BYTES,
+    ROW_LAYOUTS,
     SINGLE_BLOCK_FORMATS,
+    SINGLE_LAYOUTS,
     SINGLE_STRIP_BLOCK_FORMATS,
+    SPARSE_ADMIT_THRESHOLD,
+    SPARSE_LAYOUTS,
+    TILE_LAYOUTS,
     Layout,
     PhysicalFormat,
     admissible_formats,
     coo,
     col_strips,
+    csc_strips,
     csr_strips,
     row_strips,
     single,
@@ -22,7 +32,12 @@ from repro.core.formats import (
     sparse_tiles,
     tiles,
 )
-from repro.core.types import matrix
+from repro.core.types import (
+    ENTRY_BYTES,
+    SPARSE_ENTRY_BYTES,
+    MatrixType,
+    matrix,
+)
 
 
 class TestCatalog:
@@ -59,6 +74,22 @@ class TestConstruction:
     def test_tile_needs_both_extents(self):
         with pytest.raises(ValueError):
             PhysicalFormat(Layout.TILE, block_rows=10)
+
+    @pytest.mark.parametrize("extent", [True, False, 2.0, "10", 10.5,
+                                        np.float64(10), [10]])
+    def test_rejects_non_integer_block_sizes(self, extent):
+        with pytest.raises(ValueError, match="positive integer"):
+            PhysicalFormat(Layout.ROW_STRIP, block_rows=extent)
+        with pytest.raises(ValueError, match="positive integer"):
+            PhysicalFormat(Layout.TILE, block_rows=10, block_cols=extent)
+
+    def test_rejects_a_layout_that_is_not_a_layout(self):
+        with pytest.raises(ValueError, match="Layout"):
+            PhysicalFormat("row_strip", block_rows=10)
+
+    def test_numpy_block_sizes_equal_python_ones(self):
+        fmt = PhysicalFormat(Layout.TILE, np.int64(100), np.int32(100))
+        assert fmt == tiles(100) and hash(fmt) == hash(tiles(100))
 
     def test_classification_flags(self):
         assert single().is_single and not single().is_sparse
@@ -168,3 +199,96 @@ class TestStorage:
         if fmt.admits(t):
             assert fmt.tuple_count(t) >= 1
             assert fmt.stored_bytes(t) > 0
+
+
+ALL_LAYOUT_FORMATS = (single(), row_strips(7), col_strips(7), tiles(7, 5),
+                      coo(), csr_strips(7), csc_strips(7), sparse_tiles(7),
+                      sparse_single())
+
+
+class TestPrecomputedFacts:
+    """Flags and the hash are computed once from the layout-class sets;
+    equality, repr and fields see only the layout and block extents."""
+
+    def test_every_layout_covered(self):
+        assert {f.layout for f in ALL_LAYOUT_FORMATS} == set(Layout)
+
+    @pytest.mark.parametrize("fmt", ALL_LAYOUT_FORMATS, ids=str)
+    def test_flags_follow_the_layout_class_sets(self, fmt):
+        assert fmt.is_sparse == (fmt.layout in SPARSE_LAYOUTS)
+        assert fmt.is_single == (fmt.layout in SINGLE_LAYOUTS)
+        assert fmt.is_row_partitioned == (fmt.layout in ROW_LAYOUTS)
+        assert fmt.is_col_partitioned == (fmt.layout in COL_LAYOUTS)
+        assert fmt.is_tiled == (fmt.layout in TILE_LAYOUTS)
+        blocked = (fmt.is_single + fmt.is_row_partitioned
+                   + fmt.is_col_partitioned + fmt.is_tiled)
+        assert blocked == (0 if fmt.layout is Layout.COO else 1)
+
+    def test_hash_built_from_integers(self):
+        """Positions in ``Layout`` and block extents, never the salted
+        hash of a layout's name."""
+        position = list(Layout).index
+        for fmt in ALL_LAYOUT_FORMATS:
+            assert hash(fmt) == hash((position(fmt.layout),
+                                      fmt.block_rows or 0,
+                                      fmt.block_cols or 0))
+        assert len({hash(f) for f in DEFAULT_FORMATS}) == 19
+
+    def test_fields_and_repr_unchanged(self):
+        fmt = tiles(10, 20)
+        assert [f.name for f in dataclasses.fields(fmt)] == [
+            "layout", "block_rows", "block_cols"]
+        assert repr(fmt) == ("PhysicalFormat(layout=<Layout.TILE: 'tile'>, "
+                             "block_rows=10, block_cols=20)")
+        assert dataclasses.replace(fmt, block_cols=10) == tiles(10)
+
+
+def _reference_max_tuple_bytes(fmt, mtype):
+    """``max_tuple_bytes`` as first written: the first block's shape."""
+    if fmt.layout is Layout.COO:
+        return fmt.stored_bytes(mtype) / fmt.tuple_count(mtype)
+    rows, cols = fmt.block_shape(mtype, 0, 0)
+    if fmt.is_sparse:
+        return max(rows * cols * mtype.sparsity * SPARSE_ENTRY_BYTES,
+                   SPARSE_ENTRY_BYTES)
+    return rows * cols * ENTRY_BYTES
+
+
+def _reference_admits(fmt, mtype):
+    """``admits`` as first written, through the public grid helpers."""
+    if mtype.ndim > 2:
+        return False
+    if fmt.is_sparse and mtype.sparsity > SPARSE_ADMIT_THRESHOLD:
+        return False
+    if fmt.is_row_partitioned and fmt.block_rows > mtype.rows:
+        return False
+    if fmt.is_col_partitioned and fmt.block_cols > mtype.cols:
+        return False
+    if fmt.is_tiled and (fmt.block_rows > mtype.rows
+                         or fmt.block_cols > mtype.cols):
+        return False
+    if _reference_max_tuple_bytes(fmt, mtype) > MAX_TUPLE_BYTES:
+        return False
+    return fmt.tuple_count(mtype) <= 4_000_000
+
+
+_EXTENTS = st.sampled_from((1, 3, 99, 100, 1000, 4097, 60_000, 2_000_000))
+_FORMATS = st.sampled_from(DEFAULT_FORMATS + ALL_LAYOUT_FORMATS
+                           + (row_strips(10), tiles(4000)))
+
+
+@st.composite
+def _types(draw):
+    dims = tuple(draw(_EXTENTS) for _ in range(draw(st.integers(1, 3))))
+    sparsity = draw(st.sampled_from((1.0, 0.7, 0.6, 0.5, 1e-4, 0.0)))
+    return MatrixType(dims, sparsity)
+
+
+@given(fmt=_FORMATS, mtype=_types())
+def test_admission_and_tuple_bytes_match_reference(fmt, mtype):
+    assert fmt.admits(mtype) == _reference_admits(fmt, mtype)
+    if mtype.ndim <= 2:
+        want = _reference_max_tuple_bytes(fmt, mtype)
+        got = fmt.max_tuple_bytes(mtype)
+        assert got == want and type(got) is type(want)
+        assert math.isfinite(got)

@@ -17,7 +17,10 @@ from repro.core.serialize import (
     graph_to_dict,
     plan_from_json,
     plan_to_json,
+    type_from_dict,
+    type_to_dict,
 )
+from repro.core.types import MatrixType
 from repro.engine import execute_plan
 
 
@@ -40,6 +43,51 @@ class TestFormatRoundTrip:
     def test_bad_layout_rejected(self):
         with pytest.raises(SerializationError):
             format_from_dict({"layout": "holographic"})
+
+    @pytest.mark.parametrize("payload", [
+        {"layout": "row_strip", "block_rows": True},
+        {"layout": "row_strip", "block_rows": "50"},
+        {"layout": "row_strip", "block_rows": 2.5},
+        {"layout": "row_strip", "block_rows": None},
+        {"layout": "row_strip"},
+        {"layout": "tile", "block_rows": 10, "block_cols": [10]},
+        {"layout": "single", "block_rows": 3},
+        {"layout": ["tile"]},
+        {"block_rows": 10},
+        ["row_strip", 50],
+        None,
+    ])
+    def test_malformed_format_payload_rejected(self, payload):
+        with pytest.raises(SerializationError):
+            format_from_dict(payload)
+
+
+class TestTypeRoundTrip:
+    @pytest.mark.parametrize("mtype", [matrix(3, 4), matrix(5, 5, 0.01),
+                                       MatrixType((7,)), MatrixType((1, 9))])
+    def test_round_trip(self, mtype):
+        assert type_from_dict(type_to_dict(mtype)) == mtype
+
+    @pytest.mark.parametrize("payload", [
+        {"dims": [2.5, 3]},
+        {"dims": [True, 3]},
+        {"dims": [2, 0]},
+        {"dims": []},
+        {"dims": "23"},
+        {"dims": None},
+        {"dims": 6},
+        {"dims": [2, 3], "sparsity": "0.5"},
+        {"dims": [2, 3], "sparsity": None},
+        {"dims": [2, 3], "sparsity": True},
+        {"dims": [2, 3], "sparsity": 1.5},
+        {"dims": [2, 3], "sparsity": float("nan")},
+        {"sparsity": 1.0},
+        [[2, 3], 1.0],
+        "2x3",
+    ])
+    def test_malformed_type_payload_rejected(self, payload):
+        with pytest.raises(SerializationError):
+            type_from_dict(payload)
 
 
 class TestGraphRoundTrip:

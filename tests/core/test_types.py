@@ -1,7 +1,9 @@
 """Tests for matrix types and scalar sparsity propagation."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +56,30 @@ class TestMatrixType:
             matrix(2, 2, sparsity=1.5)
         with pytest.raises(ValueError):
             matrix(2, 2, sparsity=-0.1)
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (True, 3), (3, False),
+                                      ("3", 4), (None, 4), (np.float64(2), 3),
+                                      (2, [3])])
+    def test_rejects_non_integer_extent(self, dims):
+        with pytest.raises(ValueError, match="positive integers"):
+            MatrixType(dims)
+
+    @pytest.mark.parametrize("dims", [[2, 3], "23", None, 5])
+    def test_rejects_dims_that_are_not_a_tuple(self, dims):
+        with pytest.raises(ValueError, match="tuple"):
+            MatrixType(dims)
+
+    @pytest.mark.parametrize("sparsity", ["0.5", None, True, False,
+                                          [0.5], math.nan, 1 + 0j])
+    def test_rejects_non_real_sparsity(self, sparsity):
+        with pytest.raises(ValueError, match="sparsity"):
+            matrix(2, 2, sparsity=sparsity)
+
+    def test_accepts_numpy_integers_and_reals(self):
+        t = MatrixType((np.int64(4), np.int32(5)), np.float64(0.5))
+        assert t == matrix(4, 5, 0.5) and hash(t) == hash(matrix(4, 5, 0.5))
+        assert matrix(2, 2, sparsity=1) == matrix(2, 2)
+        assert matrix(2, 2, sparsity=0).nnz == 0
 
     def test_transposed(self):
         t = matrix(3, 7, sparsity=0.5).transposed()
@@ -119,3 +145,30 @@ class TestSparsityPropagation:
         lo = matmul_sparsity(matrix(5, k, sa * 0.5), matrix(k, 5, sb))
         hi = matmul_sparsity(matrix(5, k, sa), matrix(k, 5, sb))
         assert lo <= hi + 1e-12
+
+
+class TestPrecomputedFacts:
+    """``ndim``, ``rows``, ``cols`` and the hash are computed once on
+    construction; equality, repr, fields and the serialized form see only
+    ``dims`` and ``sparsity``."""
+
+    @pytest.mark.parametrize("dims,shape", [((7,), (1, 1, 7)),
+                                            ((1, 9), (2, 1, 9)),
+                                            ((4, 5), (2, 4, 5)),
+                                            ((2, 3, 4), (3, 2, 4))])
+    def test_shape_facts(self, dims, shape):
+        t = MatrixType(dims)
+        assert (t.ndim, t.rows, t.cols) == shape
+
+    def test_fields_repr_and_asdict_unchanged(self):
+        t = matrix(2, 3, 0.5)
+        assert [f.name for f in dataclasses.fields(t)] == ["dims",
+                                                           "sparsity"]
+        assert dataclasses.asdict(t) == {"dims": (2, 3), "sparsity": 0.5}
+        assert repr(t) == "MatrixType(dims=(2, 3), sparsity=0.5)"
+        assert dataclasses.replace(t, sparsity=0.25) == matrix(2, 3, 0.25)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for t in (matrix(2, 3), vector(9, 0.1), MatrixType((4,), 0.0)):
+            assert hash(t) == hash((t.dims, t.sparsity))
+        assert hash(matrix(2, 3, 1)) == hash(matrix(2, 3, 1.0))
